@@ -3,20 +3,25 @@
 //!
 //! Every bench runs the same prepared hot-potato kernel — DB(2,8), 256
 //! processors, 500 slots — so the slot loop, routing and metrics work are
-//! identical across rows and the deltas isolate the injection side:
-//! `uniform` via the legacy pattern path, the same pattern through the
-//! `DemandSource` indirection (pricing the dispatch itself), Poisson,
-//! on/off bursts, the elephants-and-mice mix, and replay of a synthetic
-//! in-memory trace with one event per slot.
+//! identical across rows and the deltas isolate the injection side: the
+//! stationary `uniform` pattern (wrapped as a `DemandSource`, the baseline),
+//! Poisson, on/off bursts, the elephants-and-mice mix, and replay of a
+//! synthetic in-memory trace with one event per slot.  Every run gets a
+//! fresh scratch pool, as a one-shot caller's would.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, DemandSpec, HotPotatoSimConfig, PreparedHotPotato, TraceReplay, TrafficPattern,
+    DemandSource, DemandSpec, PreparedHotPotato, SimMetrics, SimOptions, SlotScratch, TraceReplay,
+    TrafficPattern,
 };
 use otis_topologies::de_bruijn;
 use std::io::Cursor;
 use std::time::Duration;
+
+fn run(kernel: &PreparedHotPotato, source: &mut DemandSource, options: &SimOptions) -> SimMetrics {
+    kernel.run(&[], source, options, &mut SlotScratch::new())
+}
 
 fn bench_demand(c: &mut Criterion) {
     let mut group = c.benchmark_group("demand");
@@ -26,26 +31,15 @@ fn bench_demand(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
 
     let kernel = PreparedHotPotato::new(std::sync::Arc::new(de_bruijn(2, 8)), FaultSet::new());
-    let config = HotPotatoSimConfig {
-        slots: 500,
-        seed: 42,
-        ..Default::default()
-    };
+    let config = SimOptions::new(500, 42);
     let n = 256usize;
 
-    // The stationary baseline on the legacy entry point.
+    // The stationary baseline.
     let uniform = TrafficPattern::Uniform { load: 0.4 };
-    group.bench_function("uniform_pattern_path", |b| {
-        b.iter(|| kernel.run(&uniform, &config))
-    });
-
-    // The same pattern through the demand indirection: the delta against
-    // the row above is the price of the `DemandSource` dispatch (the RNG
-    // draws are byte-identical by contract).
     group.bench_function("uniform_demand_path", |b| {
         b.iter(|| {
             let mut source = DemandSource::from_pattern(uniform.clone());
-            kernel.run_demand(&mut source, &config)
+            run(&kernel, &mut source, &config)
         })
     });
 
@@ -78,7 +72,7 @@ fn bench_demand(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut source = spec.source().expect("no trace: building never fails");
-                kernel.run_demand(&mut source, &config)
+                run(&kernel, &mut source, &config)
             })
         });
     }
@@ -95,7 +89,7 @@ fn bench_demand(c: &mut Criterion) {
     group.bench_function("trace_replay", |b| {
         b.iter(|| {
             let mut source = DemandSource::Trace(TraceReplay::new(Cursor::new(text.clone())));
-            kernel.run_demand(&mut source, &config)
+            run(&kernel, &mut source, &config)
         })
     });
 

@@ -29,6 +29,7 @@ use otis_net::{
     SimOptions, TrafficSpec,
 };
 use otis_routing::node_fault_patterns_up_to;
+use otis_sim::SlotScratch;
 use std::time::Duration;
 
 /// SK(2,2,2) × 3 workloads × 8 seeds × (intact + 6 single-group faults)
@@ -107,7 +108,10 @@ fn bench_scenario_grid(c: &mut Criterion) {
                             };
                             // prepare + run per cell: no reuse.
                             let kernel = network.prepare(&options.faults);
-                            delivered += kernel.run(&pattern, &options).delivered;
+                            let mut scratch = SlotScratch::new();
+                            delivered += kernel
+                                .run_with_timeline_scratch(None, &pattern, &options, &mut scratch)
+                                .delivered;
                         }
                     }
                 }

@@ -3,11 +3,35 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    FaultSchedule, HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig,
-    PreparedHotPotato, PreparedMultiOps, TrafficPattern,
+    DemandSource, FaultSchedule, PreparedHotPotato, PreparedMultiOps, SimMetrics, SimOptions,
+    SlotScratch, TrafficPattern,
 };
 use otis_topologies::{de_bruijn, Pops, StackKautz};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// One run with a fresh demand source and scratch pool, as a one-shot
+/// caller would make it.
+fn run_multi_ops(
+    kernel: &PreparedMultiOps,
+    timeline: &[(u64, PreparedMultiOps)],
+    traffic: &TrafficPattern,
+    options: &SimOptions,
+) -> SimMetrics {
+    let mut demand = DemandSource::from_pattern(traffic.clone());
+    kernel.run(timeline, &mut demand, options, &mut SlotScratch::new())
+}
+
+/// [`run_multi_ops`] for the hot-potato kernel.
+fn run_hot_potato(
+    kernel: &PreparedHotPotato,
+    timeline: &[(u64, PreparedHotPotato)],
+    traffic: &TrafficPattern,
+    options: &SimOptions,
+) -> SimMetrics {
+    let mut demand = DemandSource::from_pattern(traffic.clone());
+    kernel.run(timeline, &mut demand, options, &mut SlotScratch::new())
+}
 
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation");
@@ -16,7 +40,9 @@ fn bench_simulation(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
     let traffic = TrafficPattern::Uniform { load: 0.5 };
+    let options = SimOptions::new(500, 1);
 
+    // Each iteration prepares the kernel and runs it once.
     for &(s, d, k) in &[(4usize, 2usize, 2usize), (6, 3, 2)] {
         let sk = StackKautz::new(s, d, k);
         group.bench_with_input(
@@ -24,14 +50,9 @@ fn bench_simulation(c: &mut Criterion) {
             &sk,
             |b, sk| {
                 b.iter(|| {
-                    MultiOpsSim::new(
-                        sk.stack_graph().clone(),
-                        MultiOpsSimConfig {
-                            slots: 500,
-                            ..Default::default()
-                        },
-                    )
-                    .run(&traffic)
+                    let stack = Arc::new(sk.stack_graph().clone());
+                    let kernel = PreparedMultiOps::new(stack, FaultSet::new());
+                    run_multi_ops(&kernel, &[], &traffic, &options)
                 })
             },
         );
@@ -40,28 +61,17 @@ fn bench_simulation(c: &mut Criterion) {
     let pops = Pops::new(8, 8);
     group.bench_function("pops_8x8_500_slots", |b| {
         b.iter(|| {
-            MultiOpsSim::new(
-                pops.stack_graph().clone(),
-                MultiOpsSimConfig {
-                    slots: 500,
-                    ..Default::default()
-                },
-            )
-            .run(&traffic)
+            let stack = Arc::new(pops.stack_graph().clone());
+            let kernel = PreparedMultiOps::new(stack, FaultSet::new());
+            run_multi_ops(&kernel, &[], &traffic, &options)
         })
     });
 
     let db = de_bruijn(2, 6);
     group.bench_function("hot_potato_de_bruijn_2_6_500_slots", |b| {
         b.iter(|| {
-            HotPotatoSim::new(
-                db.clone(),
-                HotPotatoSimConfig {
-                    slots: 500,
-                    ..Default::default()
-                },
-            )
-            .run(&traffic)
+            let kernel = PreparedHotPotato::new(Arc::new(db.clone()), FaultSet::new());
+            run_hot_potato(&kernel, &[], &traffic, &options)
         })
     });
     group.finish();
@@ -75,12 +85,13 @@ fn bench_fault_timeline(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
     let traffic = TrafficPattern::Uniform { load: 0.5 };
     let schedule: FaultSchedule = "fail(node 3)@150; recover@350".parse().unwrap();
+    let options = SimOptions::new(500, 1);
 
     // The delta-repair cost of deriving a whole timeline's epoch kernels
     // from the fault-free base — the work the engine caches per
     // (spec, fault set, schedule) triple.
     let sk = StackKautz::new(6, 3, 2);
-    let sk_base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+    let sk_base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new());
     group.bench_function("timeline_from_sk_6_3_2", |b| {
         b.iter(|| PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap())
     });
@@ -89,29 +100,21 @@ fn bench_fault_timeline(c: &mut Criterion) {
     // run of the same kernel: the delta is what a two-event schedule adds
     // to a 500-slot multi-OPS run.
     let sk_timeline = PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap();
-    let multi_config = MultiOpsSimConfig {
-        slots: 500,
-        ..Default::default()
-    };
     group.bench_function("multi_ops_sk_6_3_2_500_slots_static", |b| {
-        b.iter(|| sk_base.run(&traffic, &multi_config))
+        b.iter(|| run_multi_ops(&sk_base, &[], &traffic, &options))
     });
     group.bench_function("multi_ops_sk_6_3_2_500_slots_two_swaps", |b| {
-        b.iter(|| sk_base.run_with_timeline(&sk_timeline, &traffic, &multi_config))
+        b.iter(|| run_multi_ops(&sk_base, &sk_timeline, &traffic, &options))
     });
 
     // Same comparison for the point-to-point deflection simulator.
-    let db_base = PreparedHotPotato::from_graph(de_bruijn(2, 8), FaultSet::new());
+    let db_base = PreparedHotPotato::new(Arc::new(de_bruijn(2, 8)), FaultSet::new());
     let db_timeline = PreparedHotPotato::timeline_from(&db_base, &db_base, &schedule).unwrap();
-    let hot_config = HotPotatoSimConfig {
-        slots: 500,
-        ..Default::default()
-    };
     group.bench_function("hot_potato_db_2_8_500_slots_static", |b| {
-        b.iter(|| db_base.run(&traffic, &hot_config))
+        b.iter(|| run_hot_potato(&db_base, &[], &traffic, &options))
     });
     group.bench_function("hot_potato_db_2_8_500_slots_two_swaps", |b| {
-        b.iter(|| db_base.run_with_timeline(&db_timeline, &traffic, &hot_config))
+        b.iter(|| run_hot_potato(&db_base, &db_timeline, &traffic, &options))
     });
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! * The [`reproduce`] module regenerates, in text form, every figure and
 //!   in-text table of the paper — run
 //!   `cargo run -p otis-bench --bin reproduce -- all`, or a single experiment
-//!   id such as `fig10` (see [`reproduce::available_experiments`]).
+//!   id such as `fig10` (see [`reproduce::EXPERIMENTS`]).
 //! * The `scenarios` binary is the CLI front end of the parallel scenario
 //!   engine (`otis_net::engine`): it expands a
 //!   `(spec × workload × seed × fault pattern)` grid, runs every cell across
@@ -79,4 +79,4 @@
 
 pub mod reproduce;
 
-pub use reproduce::{available_experiments, run_experiment};
+pub use reproduce::{run_experiment, EXPERIMENTS};

@@ -38,81 +38,79 @@ fn net(spec: &str) -> Network {
     Network::from_spec(spec).unwrap_or_else(|e| panic!("experiment spec '{spec}': {e}"))
 }
 
-/// The list of experiment identifiers together with a one-line description.
-pub fn available_experiments() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("fig1", "OTIS(3,6) transpose permutation (Fig. 1)"),
-        ("fig2", "degree-4 OPS coupler model (Fig. 2)"),
-        ("fig3", "OPS coupler as a hyperarc (Fig. 3)"),
-        ("fig4", "POPS(4,2) construction (Fig. 4)"),
-        ("fig5", "POPS(4,2) as the stack-graph ς(4,K⁺₂) (Fig. 5)"),
-        ("fig6", "Kautz line-digraph iterations KG(2,1..3) (Fig. 6)"),
-        (
-            "table-kautz",
-            "Kautz property table incl. KG(5,4) row (§2.5)",
-        ),
-        (
-            "table-ii",
-            "Imase–Itoh property table and II=KG identification (§2.6)",
-        ),
-        ("fig7", "stack-Kautz SK(6,3,2) properties (Fig. 7)"),
-        (
-            "fig8",
-            "group of 6 processors to 4 multiplexers via OTIS(6,4) (Fig. 8)",
-        ),
-        (
-            "fig9",
-            "3 beam-splitters to a group of 5 processors via OTIS(3,5) (Fig. 9)",
-        ),
-        (
-            "fig10",
-            "Proposition 1: II(3,12) realized by OTIS(3,12) (Fig. 10)",
-        ),
-        ("cor1", "Corollary 1: Kautz graphs on OTIS"),
-        ("fig11", "POPS(4,2) optical design on OTIS (Fig. 11)"),
-        ("fig12", "SK(6,3,2) optical design on OTIS (Fig. 12)"),
-        (
-            "table-cost",
-            "hardware cost and power scaling of the designs (T3)",
-        ),
-        (
-            "table-routing",
-            "routing length and fault-tolerance bounds (T4)",
-        ),
-        (
-            "table-sim",
-            "POPS vs stack-Kautz vs hot-potato simulation (T5)",
-        ),
-    ]
-}
+/// One experiment: its id, a one-line description, and the function that
+/// renders its text report.
+pub type Experiment = (&'static str, &'static str, fn() -> String);
 
-/// Runs one experiment by id and returns its text report.
-///
-/// # Panics
-/// Panics on an unknown experiment id; use [`available_experiments`] to list
-/// the valid ones.
-pub fn run_experiment(id: &str) -> String {
-    match id {
-        "fig1" => fig1(),
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "table-kautz" => table_kautz(),
-        "table-ii" => table_ii(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(),
-        "fig10" => fig10(),
-        "cor1" => cor1(),
-        "fig11" => fig11(),
-        "fig12" => fig12(),
-        "table-cost" => table_cost(),
-        "table-routing" => table_routing(),
-        "table-sim" => table_sim(),
-        other => panic!("unknown experiment id '{other}'; see `reproduce list`"),
-    }
+/// Every experiment, in presentation order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", "OTIS(3,6) transpose permutation (Fig. 1)", fig1),
+    ("fig2", "degree-4 OPS coupler model (Fig. 2)", fig2),
+    ("fig3", "OPS coupler as a hyperarc (Fig. 3)", fig3),
+    ("fig4", "POPS(4,2) construction (Fig. 4)", fig4),
+    (
+        "fig5",
+        "POPS(4,2) as the stack-graph ς(4,K⁺₂) (Fig. 5)",
+        fig5,
+    ),
+    (
+        "fig6",
+        "Kautz line-digraph iterations KG(2,1..3) (Fig. 6)",
+        fig6,
+    ),
+    (
+        "table-kautz",
+        "Kautz property table incl. KG(5,4) row (§2.5)",
+        table_kautz,
+    ),
+    (
+        "table-ii",
+        "Imase–Itoh property table and II=KG identification (§2.6)",
+        table_ii,
+    ),
+    ("fig7", "stack-Kautz SK(6,3,2) properties (Fig. 7)", fig7),
+    (
+        "fig8",
+        "group of 6 processors to 4 multiplexers via OTIS(6,4) (Fig. 8)",
+        fig8,
+    ),
+    (
+        "fig9",
+        "3 beam-splitters to a group of 5 processors via OTIS(3,5) (Fig. 9)",
+        fig9,
+    ),
+    (
+        "fig10",
+        "Proposition 1: II(3,12) realized by OTIS(3,12) (Fig. 10)",
+        fig10,
+    ),
+    ("cor1", "Corollary 1: Kautz graphs on OTIS", cor1),
+    ("fig11", "POPS(4,2) optical design on OTIS (Fig. 11)", fig11),
+    ("fig12", "SK(6,3,2) optical design on OTIS (Fig. 12)", fig12),
+    (
+        "table-cost",
+        "hardware cost and power scaling of the designs (T3)",
+        table_cost,
+    ),
+    (
+        "table-routing",
+        "routing length and fault-tolerance bounds (T4)",
+        table_routing,
+    ),
+    (
+        "table-sim",
+        "POPS vs stack-Kautz vs hot-potato simulation (T5)",
+        table_sim,
+    ),
+];
+
+/// Runs one experiment by id and returns its text report, or `None` for an
+/// id [`EXPERIMENTS`] does not list.
+pub fn run_experiment(id: &str) -> Option<String> {
+    EXPERIMENTS
+        .iter()
+        .find(|(name, _, _)| *name == id)
+        .map(|(_, _, run)| run())
 }
 
 fn fig1() -> String {
@@ -940,10 +938,10 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_runs() {
-        for (id, _) in available_experiments() {
+        for (id, _, run) in EXPERIMENTS {
             // table-sim is comparatively slow; shrink implicitly by running it
             // like the others — all experiments are laptop-scale.
-            let report = run_experiment(id);
+            let report = run();
             assert!(!report.is_empty(), "experiment {id} produced no output");
             assert!(
                 !report.contains("FAILED"),
@@ -953,14 +951,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment")]
-    fn unknown_id_panics() {
-        run_experiment("fig99");
+    fn unknown_id_is_none() {
+        assert_eq!(run_experiment("fig99"), None);
     }
 
     #[test]
     fn fig12_report_contains_paper_counts() {
-        let report = run_experiment("fig12");
+        let report = run_experiment("fig12").unwrap();
         assert!(report.contains("12 x OTIS(6,4)"));
         assert!(report.contains("12 x OTIS(4,6)"));
         assert!(report.contains("1 x OTIS(3,12)"));
@@ -971,7 +968,7 @@ mod tests {
 
     #[test]
     fn table_kautz_contains_the_paper_example_row() {
-        let report = run_experiment("table-kautz");
+        let report = run_experiment("table-kautz").unwrap();
         assert!(report.contains("KG(5,4)"));
         assert!(report.contains("750"));
     }

@@ -2,7 +2,7 @@
 //!
 //! The [`Digraph`] type is the workhorse of the whole reproduction: every
 //! point-to-point topology (Kautz, Imase–Itoh, de Bruijn, complete digraph,
-//! hypercube, …) is materialised as a `Digraph`, and the stack-graph model of
+//! …) is materialised as a `Digraph`, and the stack-graph model of
 //! multi-OPS networks is built on top of it.
 //!
 //! The representation is a classic CSR (compressed sparse row) layout:

@@ -99,12 +99,11 @@ use crate::error::NetworkError;
 use crate::network::Network;
 use crate::prepared::{PreparedSim, PreparedTimeline};
 use crate::scenarios::fmt_stat;
-use crate::sim_options::SimOptions;
 use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use crate::traffic_spec::TrafficSpec;
 use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, FaultSchedule, SimMetrics, SlotScratch, WavelengthConfig};
+use otis_sim::{DemandSpec, FaultSchedule, SimMetrics, SimOptions, SlotScratch, WavelengthConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
@@ -304,15 +303,6 @@ impl ScenarioGrid {
     /// Executes the grid; see [`run_grid`].
     pub fn run(&self, threads: usize) -> Result<Vec<ScenarioRow>, NetworkError> {
         run_grid(self, threads)
-    }
-
-    /// Streams the grid's rows into `sink`; see [`run_grid_streaming`].
-    pub fn run_streaming<S: RowSink + ?Sized>(
-        &self,
-        threads: usize,
-        sink: &mut S,
-    ) -> Result<StreamSummary, NetworkError> {
-        run_grid_streaming(self, threads, sink)
     }
 }
 
@@ -957,7 +947,7 @@ pub fn run_grid(grid: &ScenarioGrid, threads: usize) -> Result<Vec<ScenarioRow>,
 /// row is built from that same copy.  The wavelength axis overrides the
 /// per-run wavelength count; the assignment policy is shared grid-wide.  A
 /// cell under a non-empty schedule runs the timeline path (mid-run kernel
-/// swaps); `None` takes the exact legacy run.  The worker's scratch pool is
+/// swaps); `None` runs under the static faults.  The worker's scratch pool is
 /// threaded through so the slot loop reuses hot state across cells.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
@@ -980,22 +970,12 @@ fn run_cell(
         ..grid.options.clone()
     };
     let traffic = grid.workloads[cell.workload].clone();
-    let metrics = match demand {
-        // Stationary patterns take the scratch-pooled form of the legacy
-        // entry points — byte-identical to them, which is the contract of
-        // the checked-in goldens.
-        DemandSpec::Pattern(pattern) => {
-            kernel.run_with_timeline_scratch(timeline, pattern, &options, scratch)
-        }
-        demand => {
-            // Stochastic and replayed workloads get a fresh per-cell
-            // source; trace files were already streamed once at bind time.
-            let mut source = demand
-                .source()
-                .expect("trace file vanished after bind-time validation");
-            kernel.run_demand_with_timeline_scratch(timeline, &mut source, &options, scratch)
-        }
-    };
+    // Every cell gets a fresh demand source (a stationary pattern just wraps
+    // itself); trace files were already streamed once at bind time.
+    let mut source = demand
+        .source()
+        .expect("trace file vanished after bind-time validation");
+    let metrics = kernel.run_demand_with_timeline_scratch(timeline, &mut source, &options, scratch);
     ScenarioRow {
         spec: *network.spec(),
         // The *bound* demand, not the raw workload spec: for traces the

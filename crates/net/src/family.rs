@@ -5,7 +5,6 @@ use crate::design::NetworkDesign;
 use crate::error::NetworkError;
 use crate::prepared::PreparedSim;
 use crate::route::RouteOracle;
-use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
 use otis_core::VerificationReport;
@@ -13,7 +12,6 @@ use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::Digraph;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{SimMetrics, TrafficPattern};
 
 /// One network family behind the facade.  Object-safe: the facade holds a
 /// `Box<dyn NetworkFamily>` and every capability — topology access, optical
@@ -50,19 +48,11 @@ pub trait NetworkFamily: std::fmt::Debug + Send + Sync {
     /// wavelength mode — the primary plus up to `alt_paths − 1` Yen
     /// alternates, computed here because alternate routes are kernel state
     /// (families without alternate routing ignore values above `1`).
-    /// [`PreparedSim::run`] then only pays for the slot loop, so callers
-    /// sweeping seeds, loads or traffic patterns over one
-    /// `(network, fault-pattern)` pair should prepare once and run many
-    /// times — exactly what the scenario engine's kernel cache does.
+    /// [`PreparedSim::run_demand_with_timeline_scratch`] then only pays for
+    /// the slot loop, so callers sweeping seeds, loads or traffic patterns
+    /// over one `(network, fault-pattern)` pair should prepare once and run
+    /// many times — exactly what the scenario engine's kernel cache does.
     fn prepare(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim;
-
-    /// Runs a slotted simulation under the given traffic: the one-shot
-    /// prepare-then-run wrapper over [`NetworkFamily::prepare`], with
-    /// metrics byte-identical to preparing and running by hand.
-    fn simulate(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        self.prepare(&options.faults, options.alt_paths)
-            .run(traffic, options)
-    }
 }
 
 /// Structural verification of a point-to-point family without an optical

@@ -29,8 +29,9 @@
 //! * [`prepared`] — the prepare/execute split behind simulation:
 //!   [`Network::prepare`] builds an immutable [`PreparedSim`] kernel (the
 //!   fault-filtered graph and all routing state) once per
-//!   `(network, fault-pattern)` pair, cheap [`PreparedSim::run`] calls pay
-//!   only for the slot loop, and the engine caches kernels on exactly that
+//!   `(network, fault-pattern)` pair, cheap
+//!   [`PreparedSim::run_demand_with_timeline_scratch`] calls pay only for
+//!   the slot loop, and the engine caches kernels on exactly that
 //!   key so a grid builds each one exactly once;
 //! * [`sink`] — the streaming result surface: [`run_grid_streaming`] hands
 //!   completed cells to a [`RowSink`] in deterministic grid order through a
@@ -105,7 +106,6 @@ pub mod network;
 pub mod prepared;
 pub mod route;
 pub mod scenarios;
-pub mod sim_options;
 pub mod sink;
 pub mod spec;
 pub mod topology;
@@ -123,8 +123,8 @@ pub use network::Network;
 pub use otis_routing::FaultSet;
 pub use otis_sim::{
     validate_trace, DemandSource, DemandSpec, FaultAction, FaultEvent, FaultSchedule,
-    FaultScheduleError, FaultTarget, TraceError, TraceReplay, TraceStats, WavelengthAssignment,
-    WavelengthConfig,
+    FaultScheduleError, FaultTarget, SimOptions, TraceError, TraceReplay, TraceStats,
+    WavelengthAssignment, WavelengthConfig,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
 pub use route::{Route, RouteOracle};
@@ -132,7 +132,6 @@ pub use scenarios::{
     compare_networks, compare_spec_strs, compare_specs, frontier_scan, saturation_point,
     ComparisonRow, FrontierPoint,
 };
-pub use sim_options::SimOptions;
 pub use sink::{
     CollectSink, CsvSink, FieldValue, JsonLinesSink, OutputFormat, RowSink, TableSink,
     UnknownFormat,

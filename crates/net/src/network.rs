@@ -6,14 +6,13 @@ use crate::families;
 use crate::family::NetworkFamily;
 use crate::prepared::PreparedSim;
 use crate::route::RouteOracle;
-use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
 use crate::traffic_spec::{TrafficError, TrafficSpec};
 use otis_core::VerificationReport;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, SimMetrics, TrafficPattern};
+use otis_sim::{DemandSource, DemandSpec, SimMetrics, SimOptions, SlotScratch, TrafficPattern};
 use otis_topologies::TopologySummary;
 
 /// Any network of the reproduction, behind one uniform API.
@@ -131,7 +130,8 @@ impl Network {
     /// fault pattern — the expensive half of a simulation (fault-filtered
     /// graph, routing/distance tables), built once.  Sweeps that vary only
     /// seeds, loads or traffic over one `(network, fault-pattern)` pair
-    /// should prepare once and call [`PreparedSim::run`] per cell; the
+    /// should prepare once and call
+    /// [`PreparedSim::run_demand_with_timeline_scratch`] per cell; the
     /// scenario engine does exactly that through its kernel cache.  No
     /// alternate routes are prepared; see
     /// [`Network::prepare_with_alternates`] for kernels that try Yen
@@ -144,7 +144,7 @@ impl Network {
     /// of the wavelength layer: in wavelength mode a hop whose primary
     /// channel has no free wavelength tries up to `alt_paths − 1` Yen
     /// alternate routes before counting a blocked packet.  `alt_paths` is
-    /// kernel state — fixed here, ignored by [`PreparedSim::run`].  `1`
+    /// kernel state — fixed here, ignored by every run.  `1`
     /// prepares no alternates (identical to [`Network::prepare`]); for
     /// point-to-point families the knob is a no-op because deflection
     /// routing *is* alternate routing.
@@ -165,9 +165,13 @@ impl Network {
     }
 
     /// Runs a slotted simulation under the given traffic pattern: the
-    /// one-shot prepare-then-run wrapper over [`Network::prepare`].
+    /// one-shot prepare-then-run wrapper over
+    /// [`Network::prepare_with_alternates`] (with `options.faults` and
+    /// `options.alt_paths`) and
+    /// [`PreparedSim::run_demand_with_timeline_scratch`], with metrics
+    /// byte-identical to preparing and running by hand.
     pub fn simulate(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        self.inner.simulate(traffic, options)
+        self.simulate_source(&mut DemandSource::from_pattern(traffic.clone()), options)
     }
 
     /// Convenience wrapper: uniform traffic at the given load.
@@ -181,30 +185,31 @@ impl Network {
     /// bit-reversal a power of two, a hotspot's hot node or a Poisson
     /// destination must exist, trace events must address real processors)
     /// are typed refusals, never silently-degraded traffic.  Stationary
-    /// patterns take the exact [`Network::simulate`] path; demand processes
-    /// (`poisson`, `onoff`, `mix`, `trace`) prepare a kernel and drive it
-    /// through [`PreparedSim::run_demand`].
+    /// patterns and demand processes (`poisson`, `onoff`, `mix`, `trace`)
+    /// take the same prepare-then-run path as [`Network::simulate`].
     pub fn simulate_workload(
         &self,
         workload: &TrafficSpec,
         options: &SimOptions,
     ) -> Result<SimMetrics, NetworkError> {
-        match workload.bind(self.node_count())? {
-            DemandSpec::Pattern(pattern) => Ok(self.simulate(&pattern, options)),
-            demand => {
-                let mut source = demand.source().map_err(|e| {
-                    NetworkError::from(TrafficError::TraceIo {
-                        path: match &demand {
-                            DemandSpec::Trace { path, .. } => path.clone(),
-                            _ => unreachable!("only trace sources touch the filesystem"),
-                        },
-                        detail: e.to_string(),
-                    })
-                })?;
-                let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
-                Ok(kernel.run_demand(&mut source, options))
-            }
-        }
+        let demand = workload.bind(self.node_count())?;
+        let mut source = demand.source().map_err(|e| {
+            NetworkError::from(TrafficError::TraceIo {
+                path: match &demand {
+                    DemandSpec::Trace { path, .. } => path.clone(),
+                    _ => unreachable!("only trace sources touch the filesystem"),
+                },
+                detail: e.to_string(),
+            })
+        })?;
+        Ok(self.simulate_source(&mut source, options))
+    }
+
+    /// Prepares the kernel `options` asks for and runs `demand` through it
+    /// once, with a fresh scratch pool.
+    fn simulate_source(&self, demand: &mut DemandSource, options: &SimOptions) -> SimMetrics {
+        self.prepare_with_alternates(&options.faults, options.alt_paths)
+            .run_demand_with_timeline_scratch(None, demand, options, &mut SlotScratch::new())
     }
 }
 

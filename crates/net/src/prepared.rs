@@ -3,38 +3,17 @@
 //! [`crate::family::NetworkFamily::prepare`] splits simulation into the two
 //! phases of the `otis-sim` kernels: an immutable [`PreparedSim`] — the
 //! fault-filtered graph plus all routing/distance state, built once — and
-//! cheap [`PreparedSim::run`] calls that only pay for the slot loop.  The
-//! scenario engine caches these kernels per `(spec, fault-pattern)` pair so
-//! a grid builds each one exactly once; `Network::simulate` remains the
-//! one-shot prepare-then-run wrapper with byte-identical metrics.
+//! cheap [`PreparedSim::run_demand_with_timeline_scratch`] calls that only
+//! pay for the slot loop.  The scenario engine caches these kernels per
+//! `(spec, fault-pattern)` pair so a grid builds each one exactly once;
+//! `Network::simulate` remains the one-shot prepare-then-run wrapper with
+//! byte-identical metrics.
 
-use crate::sim_options::SimOptions;
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, FaultSchedule, FaultScheduleError, HotPotatoSimConfig, MultiOpsSimConfig,
-    PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
+    DemandSource, FaultSchedule, FaultScheduleError, PreparedHotPotato, PreparedMultiOps,
+    SimMetrics, SimOptions, SlotScratch, TrafficPattern,
 };
-
-/// The hot-potato run-scoped knobs of `options`.
-fn hot_config(options: &SimOptions) -> HotPotatoSimConfig {
-    HotPotatoSimConfig {
-        slots: options.slots,
-        seed: options.seed,
-        max_hops: options.max_hops,
-        wavelengths: options.wavelengths,
-    }
-}
-
-/// The multi-OPS run-scoped knobs of `options`.
-fn ops_config(options: &SimOptions) -> MultiOpsSimConfig {
-    MultiOpsSimConfig {
-        slots: options.slots,
-        seed: options.seed,
-        policy: options.policy,
-        queue_limit: options.queue_limit,
-        wavelengths: options.wavelengths,
-    }
-}
 
 /// A prepared simulation kernel for one network under one fault pattern —
 /// either simulator family behind one surface.  `Send + Sync`, so one
@@ -48,39 +27,9 @@ pub enum PreparedSim {
 }
 
 impl PreparedSim {
-    /// Executes one run.  Only the run-scoped options are read — `slots`,
-    /// `seed`, `max_hops`, `wavelengths` for hot-potato kernels; `slots`,
-    /// `seed`, `policy`, `queue_limit`, `wavelengths` for multi-OPS kernels.
-    /// The fault pattern and the alternate-route count (`alt_paths`) were
-    /// fixed at prepare time ([`PreparedSim::faults`],
-    /// [`crate::Network::prepare_with_alternates`]); `options.faults` and
-    /// `options.alt_paths` are ignored here, which is what lets a scenario
-    /// engine reuse one kernel across cells that share a fault pattern.
-    pub fn run(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        match self {
-            PreparedSim::HotPotato(kernel) => kernel.run(traffic, &hot_config(options)),
-            PreparedSim::MultiOps(kernel) => kernel.run(traffic, &ops_config(options)),
-        }
-    }
-
-    /// Executes one run driven by a [`DemandSource`] instead of a
-    /// stationary pattern — the entry point of the demand subsystem
-    /// (Poisson arrivals, on/off bursts, trace replay).  Reads the same
-    /// run-scoped options as [`PreparedSim::run`]; a
-    /// `DemandSource::Pattern` source reproduces `run` byte for byte.
-    pub fn run_demand(&self, demand: &mut DemandSource, options: &SimOptions) -> SimMetrics {
-        match self {
-            PreparedSim::HotPotato(kernel) => kernel.run_demand(demand, &hot_config(options)),
-            PreparedSim::MultiOps(kernel) => kernel.run_demand(demand, &ops_config(options)),
-        }
-    }
-
-    /// [`PreparedSim::run`] / [`PreparedSim::run_with_timeline`] through a
-    /// caller-owned [`SlotScratch`] pool: the arena, queues and port masks
-    /// of consecutive runs are reused instead of reallocated, byte-identical
-    /// to the plain entry points.  A `None` timeline takes the exact legacy
-    /// run path; the scenario engine hands each worker one pool for its
-    /// whole lifetime and threads every cell through here.
+    /// Executes one run of a stationary pattern: wraps `traffic` as a
+    /// [`DemandSource`] and hands it to
+    /// [`PreparedSim::run_demand_with_timeline_scratch`].
     ///
     /// # Panics
     ///
@@ -93,25 +42,29 @@ impl PreparedSim {
         options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), None) => {
-                kernel.run_scratch(traffic, &hot_config(options), scratch)
-            }
-            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => {
-                kernel.run_with_timeline_scratch(epochs, traffic, &hot_config(options), scratch)
-            }
-            (PreparedSim::MultiOps(kernel), None) => {
-                kernel.run_scratch(traffic, &ops_config(options), scratch)
-            }
-            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => {
-                kernel.run_with_timeline_scratch(epochs, traffic, &ops_config(options), scratch)
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
+        let mut demand = DemandSource::from_pattern(traffic.clone());
+        self.run_demand_with_timeline_scratch(timeline, &mut demand, options, scratch)
     }
 
-    /// [`PreparedSim::run_with_timeline_scratch`] driven by a
-    /// [`DemandSource`] instead of a stationary pattern.
+    /// Executes one run — the facade's single run path, dispatching to the
+    /// kernel's `run` ([`PreparedHotPotato::run`],
+    /// [`PreparedMultiOps::run`]).  `demand` drives the injections (a
+    /// stationary pattern, a stochastic process or a replayed trace).
+    /// Only the run-scoped options are read — `slots`, `seed`, `max_hops`,
+    /// `wavelengths` for hot-potato kernels; `slots`, `seed`, `policy`,
+    /// `queue_limit`, `wavelengths` for multi-OPS kernels.  The fault
+    /// pattern and the alternate-route count (`alt_paths`) were fixed at
+    /// prepare time ([`PreparedSim::faults`],
+    /// [`crate::Network::prepare_with_alternates`]); `options.faults` and
+    /// `options.alt_paths` are ignored here, which is what lets a scenario
+    /// engine reuse one kernel across cells that share a fault pattern.
+    ///
+    /// `timeline` swaps the active kernel at scheduled slots (see
+    /// [`PreparedSim::timeline`]); `None` runs under the static faults.
+    /// `scratch` holds the per-run state — the scenario engine hands each
+    /// worker one pool for its whole lifetime and threads every cell
+    /// through here, so consecutive runs reuse the arena, queues and port
+    /// masks instead of reallocating.
     ///
     /// # Panics
     ///
@@ -125,16 +78,14 @@ impl PreparedSim {
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), None) => {
-                kernel.run_demand_scratch(demand, &hot_config(options), scratch)
+            (PreparedSim::HotPotato(kernel), None) => kernel.run(&[], demand, options, scratch),
+            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => {
+                kernel.run(epochs, demand, options, scratch)
             }
-            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => kernel
-                .run_demand_with_timeline_scratch(epochs, demand, &hot_config(options), scratch),
-            (PreparedSim::MultiOps(kernel), None) => {
-                kernel.run_demand_scratch(demand, &ops_config(options), scratch)
+            (PreparedSim::MultiOps(kernel), None) => kernel.run(&[], demand, options, scratch),
+            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => {
+                kernel.run(epochs, demand, options, scratch)
             }
-            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => kernel
-                .run_demand_with_timeline_scratch(epochs, demand, &ops_config(options), scratch),
             _ => panic!("timeline and kernel are from different simulator families"),
         }
     }
@@ -220,65 +171,14 @@ impl PreparedSim {
             _ => panic!("timeline base and initial kernels are from different simulator families"),
         }
     }
-
-    /// Executes one run under a fault timeline: at each event slot the
-    /// active kernel is swapped for the scheduled one, in-flight messages
-    /// are re-resolved against the new routing state, and the restoration
-    /// metrics ([`SimMetrics::fault_events`] and friends) are tracked.  An
-    /// empty timeline takes the exact code path of [`PreparedSim::run`] —
-    /// byte-identical metrics, no swap machinery touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `timeline` come from different simulator
-    /// families.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &PreparedTimeline,
-        traffic: &TrafficPattern,
-        options: &SimOptions,
-    ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), PreparedTimeline::HotPotato(epochs)) => {
-                kernel.run_with_timeline(epochs, traffic, &hot_config(options))
-            }
-            (PreparedSim::MultiOps(kernel), PreparedTimeline::MultiOps(epochs)) => {
-                kernel.run_with_timeline(epochs, traffic, &ops_config(options))
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
-    }
-
-    /// [`PreparedSim::run_with_timeline`] driven by a [`DemandSource`]:
-    /// kernel swaps at event slots plus a stochastic or replayed workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `timeline` come from different simulator
-    /// families.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &PreparedTimeline,
-        demand: &mut DemandSource,
-        options: &SimOptions,
-    ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), PreparedTimeline::HotPotato(epochs)) => {
-                kernel.run_demand_with_timeline(epochs, demand, &hot_config(options))
-            }
-            (PreparedSim::MultiOps(kernel), PreparedTimeline::MultiOps(epochs)) => {
-                kernel.run_demand_with_timeline(epochs, demand, &ops_config(options))
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
-    }
 }
 
 /// A bound fault schedule, prepared once per `(spec, fault-pattern,
 /// schedule)` triple: the kernels the run swaps to, each tagged with the
 /// slot it activates at.  Built by [`PreparedSim::timeline`] and consumed
-/// by [`PreparedSim::run_with_timeline`]; the scenario engine caches these
-/// exactly like base kernels so a grid prepares each epoch once.
+/// by [`PreparedSim::run_demand_with_timeline_scratch`]; the scenario
+/// engine caches these exactly like base kernels so a grid prepares each
+/// epoch once.
 #[derive(Debug, Clone)]
 pub enum PreparedTimeline {
     /// Epoch kernels for a deflection-routing run.
@@ -296,8 +196,8 @@ impl PreparedTimeline {
         }
     }
 
-    /// `true` when the schedule bound to no events — the run takes the
-    /// plain [`PreparedSim::run`] path.
+    /// `true` when the schedule bound to no events — the run never swaps
+    /// kernels.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -320,9 +220,13 @@ mod tests {
                 let kernel = network.prepare(&faults);
                 assert_eq!(kernel.faults(), &faults, "{spec}");
                 let direct = network.simulate(&traffic, &options);
-                // One kernel, several runs: all must match one-shot calls.
+                // One kernel and one scratch pool, several runs: all must
+                // match one-shot calls.
+                let mut scratch = SlotScratch::new();
                 for _ in 0..2 {
-                    assert_eq!(kernel.run(&traffic, &options), direct, "{spec}");
+                    let run =
+                        kernel.run_with_timeline_scratch(None, &traffic, &options, &mut scratch);
+                    assert_eq!(run, direct, "{spec}");
                 }
             }
         }
@@ -340,7 +244,7 @@ mod tests {
     #[test]
     fn empty_timeline_run_matches_plain_run_for_both_families() {
         // A schedule with no events must bind to an empty timeline and the
-        // timeline run must be the plain run, byte for byte.
+        // timeline run must be the timeline-free run, byte for byte.
         let schedule = FaultSchedule::empty();
         for spec in ["DB(2,4)", "SK(2,2,2)"] {
             let network = Network::from_spec(spec).unwrap();
@@ -349,9 +253,10 @@ mod tests {
             assert!(timeline.is_empty(), "{spec}");
             let options = SimOptions::new(200, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
+            let mut scratch = SlotScratch::new();
             assert_eq!(
-                kernel.run_with_timeline(&timeline, &traffic, &options),
-                kernel.run(&traffic, &options),
+                kernel.run_with_timeline_scratch(Some(&timeline), &traffic, &options, &mut scratch),
+                kernel.run_with_timeline_scratch(None, &traffic, &options, &mut scratch),
                 "{spec}"
             );
         }
@@ -367,7 +272,12 @@ mod tests {
             assert_eq!(timeline.len(), 2, "{spec}");
             let options = SimOptions::new(300, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
-            let metrics = kernel.run_with_timeline(&timeline, &traffic, &options);
+            let metrics = kernel.run_with_timeline_scratch(
+                Some(&timeline),
+                &traffic,
+                &options,
+                &mut SlotScratch::new(),
+            );
             assert_eq!(metrics.fault_events, 2, "{spec}");
         }
     }

@@ -12,9 +12,8 @@
 
 use crate::engine::{default_thread_count, run_grid, ScenarioGrid};
 use crate::error::{NetworkError, SpecError};
-use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
-use otis_sim::SimMetrics;
+use otis_sim::{SimMetrics, SimOptions};
 
 /// The one-seed, no-fault grid behind every loads-only scenario
 /// (`compare_specs`, `frontier_scan`): uniform workloads via the

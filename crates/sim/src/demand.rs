@@ -145,8 +145,8 @@ impl DemandSpec {
     }
 
     /// Unwraps a stationary workload back into its [`TrafficPattern`],
-    /// `None` for the demand processes — callers on the legacy pattern-only
-    /// path use this to keep taking the byte-identical `run` entry points.
+    /// `None` for the demand processes — for callers that only handle
+    /// stationary workloads.
     pub fn into_pattern(self) -> Option<TrafficPattern> {
         match self {
             DemandSpec::Pattern(pattern) => Some(pattern),
@@ -284,8 +284,8 @@ pub enum DemandSource {
 }
 
 impl DemandSource {
-    /// Wraps a stationary pattern — the source the legacy
-    /// `run(traffic, config)` entry points build internally.
+    /// Wraps a stationary pattern, the source a pattern-driven run hands
+    /// the kernels' `run` entry points.
     pub fn from_pattern(pattern: TrafficPattern) -> Self {
         DemandSource::Pattern(pattern)
     }

@@ -17,8 +17,10 @@
 //!   fault-free base ([`PreparedHotPotato::repair_from`]): only the distance
 //!   columns the faults actually touch are recomputed, and the result is
 //!   bit-identical to building from scratch;
-//! * [`PreparedHotPotato::run`] owns only per-run mutable state and drives
-//!   the shared struct-of-arrays slot engine of [`crate::kernel`]: messages
+//! * [`PreparedHotPotato::run`] — the kernel's one run entry point — owns
+//!   only per-run mutable state (in a caller-owned
+//!   [`crate::kernel::SlotScratch`]) and drives the shared
+//!   struct-of-arrays slot engine of [`crate::kernel`]: messages
 //!   live in a [`crate::kernel::MessageArena`] and the per-node buffers
 //!   hold `u32` handles, port occupancy is a [`crate::kernel::PortBits`]
 //!   bitset fed straight into the router's masked port chooser, and per-arc
@@ -26,60 +28,22 @@
 //!   allocations, so a scenario sweep pays the expensive table construction
 //!   once and every cell only pays for its slot loop.
 //!
-//! One loop serves both capacities.  With the default capacity 1 each
-//! granted port closes immediately and the wavelength layer stays off
-//! (`metrics.wavelengths == 0`).  With `wavelengths.count > 1` every arc
-//! becomes a WDM link carrying up to `W` messages per slot and a port only
-//! closes once its arc's spectrum is full.  Hot-potato deflection *is*
-//! alternate routing — a deflected message already takes the next-best
-//! port — so the per-hop alternate-path count of the multi-OPS kernel has no
-//! analogue here and an `alt_paths` knob is a no-op; the `alt_routed` metric
-//! counts deflections off a shortest-path port instead.  A transit message
-//! that finds every port exhausted (all `W` wavelengths of every out-arc
-//! busy) is counted *blocked* and dropped.  Both modes are byte-identical to
-//! the previous per-node `Vec<Message>` engine: same RNG draw order, same
-//! message ordering (handles sort by injection slot exactly as messages
-//! sorted by `created_slot`), same metrics.
-//!
-//! [`HotPotatoSim`] remains as the one-shot convenience: a prepared kernel
-//! bundled with one [`HotPotatoSimConfig`].
+//! One loop serves both capacities; [`PreparedHotPotato::run`] describes
+//! the capacity-1 and WDM modes.  Hot-potato deflection *is* alternate
+//! routing — a deflected message already takes the next-best port — so the
+//! multi-OPS kernel's per-hop alternate-path count has no analogue here and
+//! the `alt_routed` metric counts deflections off a shortest-path port.
 
 use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, HotScratch, PortBits, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
+use crate::options::SimOptions;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::traffic::TrafficPattern;
-use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
+use crate::wavelength::WavelengthAssignment;
 use otis_graphs::{Digraph, SpectrumMap};
 use otis_routing::fault_tolerant::surviving_subgraph;
 use otis_routing::{FaultSet, HotPotatoRouter};
 use std::sync::Arc;
-
-/// Configuration of one hot-potato simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotPotatoSimConfig {
-    /// Number of slots to simulate.
-    pub slots: u64,
-    /// Random seed (traffic and deflection tie-breaks).
-    pub seed: u64,
-    /// Messages whose hop count exceeds this value are dropped (livelock
-    /// guard); `0` disables the guard.
-    pub max_hops: u32,
-    /// Wavelength capacity per link.  The default (capacity 1) keeps the
-    /// legacy slot loop; `count > 1` engages the wavelength loop.
-    pub wavelengths: WavelengthConfig,
-}
-
-impl Default for HotPotatoSimConfig {
-    fn default() -> Self {
-        HotPotatoSimConfig {
-            slots: 1000,
-            seed: 1,
-            max_hops: 64,
-            wavelengths: WavelengthConfig::default(),
-        }
-    }
-}
 
 /// The immutable, shareable kernel of the hot-potato simulator: the
 /// fault-filtered digraph (a flat CSR port layout — out-neighbours of a node
@@ -116,11 +80,6 @@ impl PreparedHotPotato {
         PreparedHotPotato { router, faults }
     }
 
-    /// Prepares a kernel from an owned digraph; see [`PreparedHotPotato::new`].
-    pub fn from_graph(graph: Digraph, faults: FaultSet) -> Self {
-        Self::new(Arc::new(graph), faults)
-    }
-
     /// Derives the kernel for `faults` from a fault-free base kernel by
     /// delta-repairing the routing table instead of rebuilding it from
     /// scratch: only the distance columns the faults actually touch are
@@ -151,11 +110,6 @@ impl PreparedHotPotato {
         self.router.graph().node_count()
     }
 
-    /// The (fault-filtered) digraph the kernel simulates.
-    pub fn graph(&self) -> &Digraph {
-        self.router.graph()
-    }
-
     /// The faults fixed at prepare time.
     pub fn faults(&self) -> &FaultSet {
         &self.faults
@@ -170,37 +124,13 @@ impl PreparedHotPotato {
         self.faults == other.faults && self.router.table() == other.router.table()
     }
 
-    /// Executes one run: `config` carries the run-scoped knobs (slots, seed,
-    /// livelock guard, wavelength capacity), `traffic` drives the
-    /// injections.  One struct-of-arrays slot loop serves every capacity:
-    /// with capacity 1 a granted port closes immediately and the wavelength
-    /// layer stays off; with `W > 1` a port only closes once all `W`
-    /// wavelengths of its arc are occupied, a transit message with no usable
-    /// port counts as blocked, and deflections off a shortest-path port are
-    /// recorded as alternate-route events.  All mutable state is local to
-    /// this call — the message arena, handle buckets, port bitsets and
-    /// tie-break scratch are reused across slots, no per-slot allocations.
-    pub fn run(&self, traffic: &TrafficPattern, config: &HotPotatoSimConfig) -> SimMetrics {
-        self.run_with_timeline(&[], traffic, config)
-    }
-
-    /// Executes one run driven by a [`DemandSource`] — the demand-side
-    /// generalization of [`PreparedHotPotato::run`].  The source is mutable
-    /// because demand processes carry mid-run state (burst phases, the
-    /// trace lookahead); build a fresh one per run with
-    /// [`crate::DemandSpec::source`].  A [`DemandSource::Pattern`] source
-    /// draws from the RNG exactly as `run` does — byte-identical metrics.
-    pub fn run_demand(&self, demand: &mut DemandSource, config: &HotPotatoSimConfig) -> SimMetrics {
-        self.run_demand_with_timeline(&[], demand, config)
-    }
-
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
     /// slot, each kernel delta-repaired from the fault-free `base` toward
     /// that epoch's fault set (the `initial` kernel's static faults overlaid
     /// with every scheduled fault in force) and bit-identical to preparing
     /// it from scratch.  The result feeds
-    /// [`PreparedHotPotato::run_with_timeline`].
+    /// [`PreparedHotPotato::run`].
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// node outside the network or a scheduled failure duplicates one of
@@ -221,89 +151,42 @@ impl PreparedHotPotato {
             .collect())
     }
 
-    /// Executes one run under a fault timeline: `timeline` is a
-    /// chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedHotPotato::timeline_from`]); at the start of each epoch's
-    /// slot, before injections, the active kernel is swapped.  In-flight
-    /// messages are re-resolved against the new kernel — a message sitting
-    /// on a failed node, destined to one, or left unreachable is dropped and
-    /// counted in `dropped_by_failure` (as well as `dropped`); survivors
-    /// keep deflecting under the new routing table.  The restoration
-    /// metrics (`fault_events`, `in_flight_at_failure`, `restore_slots`,
-    /// `post_failure_latency_peak`) are anchored to the first swap that
-    /// introduces new failures.
+    /// Executes one run — the kernel's single run entry point.
     ///
-    /// An empty timeline takes the exact legacy code path — same RNG draw
-    /// order, same metrics as [`PreparedHotPotato::run`], byte for byte.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline(timeline, &mut demand, config)
-    }
-
-    /// Executes one run under a fault timeline, driven by a
-    /// [`DemandSource`] — the entry point both
-    /// [`PreparedHotPotato::run_with_timeline`] and
-    /// [`PreparedHotPotato::run_demand`] reduce to.  Allocates a private
-    /// [`SlotScratch`] per call; engines that run many cells should hold one
-    /// pool per worker and call
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`] instead.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
-    ) -> SimMetrics {
-        let mut scratch = SlotScratch::new();
-        self.run_demand_with_timeline_scratch(timeline, demand, config, &mut scratch)
-    }
-
-    /// [`PreparedHotPotato::run`] through a caller-owned scratch pool; see
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_scratch(
-        &self,
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(&[], &mut demand, config, scratch)
-    }
-
-    /// [`PreparedHotPotato::run_demand`] through a caller-owned scratch
-    /// pool; see [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_demand_scratch(
-        &self,
-        demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        self.run_demand_with_timeline_scratch(&[], demand, config, scratch)
-    }
-
-    /// [`PreparedHotPotato::run_with_timeline`] through a caller-owned
-    /// scratch pool; see
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_with_timeline_scratch(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(timeline, &mut demand, config, scratch)
-    }
-
-    /// The full-generality entry point every other `run*` method reduces
-    /// to, threading a caller-owned [`SlotScratch`] pool so consecutive runs
-    /// reuse the arena, buckets and port masks instead of reallocating.
-    /// Byte-identical to the plain entry points — a reset pool is
-    /// indistinguishable from fresh state.
+    /// * `options` carries the run-scoped knobs: `slots`, `seed`,
+    ///   `max_hops` (livelock guard) and `wavelengths`.  `faults` and
+    ///   `alt_paths` are fixed at prepare time and ignored here, so one
+    ///   kernel serves every cell that shares its fault pattern.
+    /// * `demand` drives the injections.  Wrap a stationary pattern with
+    ///   [`DemandSource::from_pattern`]; demand processes (Poisson, on/off,
+    ///   trace replay) come from [`crate::DemandSpec::source`].  The source
+    ///   is mutable because demand processes carry mid-run state, so build
+    ///   a fresh one per run.
+    /// * `timeline` is a chronological list of `(slot, kernel)` epochs (see
+    ///   [`PreparedHotPotato::timeline_from`]); at the start of each
+    ///   epoch's slot, before injections, the active kernel is swapped.
+    ///   In-flight messages are re-resolved against the new kernel — a
+    ///   message sitting on a failed node, destined to one, or left
+    ///   unreachable is dropped and counted in `dropped_by_failure` (as
+    ///   well as `dropped`); survivors keep deflecting under the new
+    ///   routing table.  The restoration metrics (`fault_events`,
+    ///   `in_flight_at_failure`, `restore_slots`,
+    ///   `post_failure_latency_peak`) are anchored to the first swap that
+    ///   introduces new failures.  An empty timeline never touches the swap
+    ///   machinery.
+    /// * `scratch` holds every piece of per-run mutable state — the message
+    ///   arena, handle buckets, port bitsets and tie-break scratch.  It is
+    ///   reset on entry (cleared lengths, kept allocations), so a reused
+    ///   pool is indistinguishable from a fresh one and consecutive runs
+    ///   reallocate nothing; no per-slot allocations either.
+    ///
+    /// One struct-of-arrays slot loop serves every capacity.  With capacity
+    /// 1 a granted port closes immediately and the wavelength layer stays
+    /// off (`metrics.wavelengths == 0`).  With `W > 1` every arc is a WDM
+    /// link carrying up to `W` messages per slot: a port only closes once
+    /// all `W` wavelengths of its arc are occupied, a transit message with
+    /// no usable port counts as blocked and is dropped, and deflections off
+    /// a shortest-path port are recorded as alternate-route events.
     ///
     /// The slot body is organised as batched phases, each one pass over the
     /// arena's parallel arrays (see the *hot path anatomy* section of the
@@ -316,16 +199,16 @@ impl PreparedHotPotato {
     /// injection per node, exactly preserving the per-node RNG draw order
     /// of the classic fused loop (classification draws nothing, so hoisting
     /// it is invisible to the RNG stream).
-    pub fn run_demand_with_timeline_scratch(
+    pub fn run(
         &self,
         timeline: &[(u64, PreparedHotPotato)],
         demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
+        options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         let n = self.router.graph().node_count();
-        let multiplexed = config.wavelengths.is_multiplexed();
-        scratch.begin_run(config.seed, n, self.router.graph().arc_count());
+        let multiplexed = options.wavelengths.is_multiplexed();
+        scratch.begin_run(options.seed, n, self.router.graph().arc_count());
         scratch.hot.begin_run(n);
         let SlotScratch {
             core,
@@ -343,10 +226,10 @@ impl PreparedHotPotato {
             ties,
         } = hot;
         let mut spectrum = if multiplexed {
-            core.metrics.wavelengths = config.wavelengths.count;
+            core.metrics.wavelengths = options.wavelengths.count;
             Some(SpectrumMap::new(
                 self.router.graph().arc_count(),
-                config.wavelengths.count,
+                options.wavelengths.count,
             ))
         } else {
             None
@@ -355,7 +238,7 @@ impl PreparedHotPotato {
         let mut next_epoch = 0usize;
         let mut tracker = RestoreTracker::default();
 
-        for slot in 0..config.slots {
+        for slot in 0..options.slots {
             core.begin_slot(slot);
             // Kernel swaps scheduled for this slot apply before injections:
             // strand the messages the new fault set cuts off, re-point the
@@ -385,7 +268,7 @@ impl PreparedHotPotato {
                 if multiplexed {
                     spectrum = Some(SpectrumMap::new(
                         active.router.graph().arc_count(),
-                        config.wavelengths.count,
+                        options.wavelengths.count,
                     ));
                 }
             }
@@ -412,7 +295,7 @@ impl PreparedHotPotato {
                         core.deliver(latency, arena.hops(handle));
                         tracker.observe_delivery(latency, &mut core.metrics);
                         arena.release(handle);
-                    } else if RunCore::livelock_exceeded(config.max_hops, arena.hops(handle)) {
+                    } else if RunCore::livelock_exceeded(options.max_hops, arena.hops(handle)) {
                         core.drop_message();
                         arena.release(handle);
                     } else {
@@ -450,7 +333,7 @@ impl PreparedHotPotato {
                                 dst,
                                 port,
                                 arcs,
-                                config.wavelengths.assignment,
+                                options.wavelengths.assignment,
                                 &mut spectrum,
                                 ports,
                                 core,
@@ -502,7 +385,7 @@ impl PreparedHotPotato {
                             dst,
                             port,
                             arcs,
-                            config.wavelengths.assignment,
+                            options.wavelengths.assignment,
                             &mut spectrum,
                             ports,
                             core,
@@ -538,7 +421,7 @@ impl PreparedHotPotato {
             let arena = &*arena;
             handles.retain(|&handle| {
                 if arena.dst(handle) == node {
-                    let latency = config.slots.saturating_sub(arena.injected_at(handle));
+                    let latency = options.slots.saturating_sub(arena.injected_at(handle));
                     metrics.record_delivery(latency, arena.hops(handle));
                     tracker.observe_delivery(latency, metrics);
                     false
@@ -588,61 +471,45 @@ fn claim_port(
     }
 }
 
-/// The hot-potato simulator: a [`PreparedHotPotato`] kernel bundled with one
-/// [`HotPotatoSimConfig`].  Kept as the one-shot convenience; sweeps that
-/// run many seeds or traffic patterns over the same network should hold the
-/// prepared kernel directly and call [`PreparedHotPotato::run`] per cell.
-#[derive(Debug)]
-pub struct HotPotatoSim {
-    prepared: PreparedHotPotato,
-    config: HotPotatoSimConfig,
-}
-
-impl HotPotatoSim {
-    /// Creates a simulator over the given point-to-point digraph.
-    pub fn new(graph: Digraph, config: HotPotatoSimConfig) -> Self {
-        Self::with_faults(graph, config, FaultSet::new())
-    }
-
-    /// Creates a simulator that routes around the given faults; see
-    /// [`PreparedHotPotato::new`] for the fault semantics.
-    pub fn with_faults(graph: Digraph, config: HotPotatoSimConfig, faults: FaultSet) -> Self {
-        HotPotatoSim {
-            prepared: PreparedHotPotato::from_graph(graph, faults),
-            config,
-        }
-    }
-
-    /// Number of nodes simulated.
-    pub fn node_count(&self) -> usize {
-        self.prepared.node_count()
-    }
-
-    /// The immutable kernel behind this simulator.
-    pub fn prepared(&self) -> &PreparedHotPotato {
-        &self.prepared
-    }
-
-    /// Runs the simulation under the given traffic pattern.
-    pub fn run(&self, traffic: &TrafficPattern) -> SimMetrics {
-        self.prepared.run(traffic, &self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::TrafficPattern;
+    use crate::wavelength::WavelengthConfig;
     use otis_topologies::{de_bruijn, kautz};
 
+    fn prepare(graph: Digraph, faults: FaultSet) -> PreparedHotPotato {
+        PreparedHotPotato::new(Arc::new(graph), faults)
+    }
+
+    /// One timeline-free run under a stationary pattern, fresh scratch.
+    fn run_pattern(
+        kernel: &PreparedHotPotato,
+        traffic: &TrafficPattern,
+        options: &SimOptions,
+    ) -> SimMetrics {
+        run_timeline(kernel, &[], traffic, options)
+    }
+
+    fn run_timeline(
+        kernel: &PreparedHotPotato,
+        timeline: &[(u64, PreparedHotPotato)],
+        traffic: &TrafficPattern,
+        options: &SimOptions,
+    ) -> SimMetrics {
+        let mut demand = DemandSource::from_pattern(traffic.clone());
+        kernel.run(timeline, &mut demand, options, &mut SlotScratch::new())
+    }
+
     fn run_de_bruijn(load: f64, slots: u64) -> SimMetrics {
-        let sim = HotPotatoSim::new(
-            de_bruijn(2, 3),
-            HotPotatoSimConfig {
+        run_pattern(
+            &prepare(de_bruijn(2, 3), FaultSet::new()),
+            &TrafficPattern::Uniform { load },
+            &SimOptions {
                 slots,
                 ..Default::default()
             },
-        );
-        sim.run(&TrafficPattern::Uniform { load })
+        )
     }
 
     #[test]
@@ -674,14 +541,11 @@ mod tests {
 
     #[test]
     fn kautz_hot_potato_works_too() {
-        let sim = HotPotatoSim::new(
-            kautz(2, 3),
-            HotPotatoSimConfig {
-                slots: 1000,
-                ..Default::default()
-            },
+        let m = run_pattern(
+            &prepare(kautz(2, 3), FaultSet::new()),
+            &TrafficPattern::Uniform { load: 0.3 },
+            &SimOptions::default(),
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.3 });
         assert!(m.delivered > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
     }
@@ -709,17 +573,14 @@ mod tests {
         // the post-run drain nothing can be left in flight: a message
         // injected in the last slot has arrived at its destination by the
         // time the run ends.
-        let sim = HotPotatoSim::new(
-            otis_topologies::complete_digraph(5),
-            HotPotatoSimConfig {
-                slots: 1,
-                ..Default::default()
+        let m = run_pattern(
+            &prepare(otis_topologies::complete_digraph(5), FaultSet::new()),
+            &TrafficPattern::Permutation {
+                load: 1.0,
+                offset: 1,
             },
+            &SimOptions::new(1, 1),
         );
-        let m = sim.run(&TrafficPattern::Permutation {
-            load: 1.0,
-            offset: 1,
-        });
         assert_eq!(m.injected, 5);
         assert_eq!(m.delivered, 5, "final-slot arrivals must be delivered");
         assert_eq!(m.in_flight, 0);
@@ -734,50 +595,33 @@ mod tests {
         let g = kautz(2, 3);
         let mut faults = FaultSet::new();
         faults.fail_node(0);
-        let sim = HotPotatoSim::with_faults(
-            g.clone(),
-            HotPotatoSimConfig {
-                slots: 800,
-                ..Default::default()
-            },
-            faults,
-        );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.3 });
+        let traffic = TrafficPattern::Uniform { load: 0.3 };
+        let options = SimOptions::new(800, 1);
+        let m = run_pattern(&prepare(g.clone(), faults), &traffic, &options);
         assert!(m.delivered > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         // The faulty run accepts strictly less traffic than the intact one
         // under the same seed (injections touching node 0 are refused).
-        let intact = HotPotatoSim::new(
-            g,
-            HotPotatoSimConfig {
-                slots: 800,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 0.3 });
+        let intact = run_pattern(&prepare(g, FaultSet::new()), &traffic, &options);
         assert!(m.injected < intact.injected);
     }
 
     #[test]
     fn prepared_kernel_reuse_matches_fresh_construction() {
         // The prepare/execute contract: one kernel driven with many
-        // (seed, traffic, slots) combinations produces metrics identical to
-        // rebuilding the simulator from scratch for every run, with and
-        // without faults.
+        // (seed, traffic, slots) combinations through one reused scratch
+        // pool produces metrics identical to preparing a fresh kernel for
+        // every run, with and without faults.
         let g = kautz(2, 3);
+        let mut scratch = SlotScratch::new();
         for faults in [FaultSet::new(), FaultSet::from_nodes([0, 5])] {
-            let kernel = PreparedHotPotato::from_graph(g.clone(), faults.clone());
+            let kernel = prepare(g.clone(), faults.clone());
             for (seed, load, slots) in [(1u64, 0.3, 400u64), (9, 0.8, 250), (42, 0.05, 600)] {
-                let config = HotPotatoSimConfig {
-                    slots,
-                    seed,
-                    max_hops: 64,
-                    ..Default::default()
-                };
+                let options = SimOptions::new(slots, seed);
                 let traffic = TrafficPattern::Uniform { load };
-                let reused = kernel.run(&traffic, &config);
-                let fresh =
-                    HotPotatoSim::with_faults(g.clone(), config, faults.clone()).run(&traffic);
+                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let reused = kernel.run(&[], &mut demand, &options, &mut scratch);
+                let fresh = run_pattern(&prepare(g.clone(), faults.clone()), &traffic, &options);
                 assert_eq!(reused, fresh, "seed {seed} load {load}");
             }
         }
@@ -785,15 +629,15 @@ mod tests {
 
     #[test]
     fn wavelength_mode_conserves_and_reports_the_layer() {
-        let sim = HotPotatoSim::new(
-            de_bruijn(2, 3),
-            HotPotatoSimConfig {
+        let m = run_pattern(
+            &prepare(de_bruijn(2, 3), FaultSet::new()),
+            &TrafficPattern::Uniform { load: 0.8 },
+            &SimOptions {
                 slots: 800,
                 wavelengths: WavelengthConfig::with_count(4),
                 ..Default::default()
             },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.8 });
         assert_eq!(m.wavelengths, 4);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         assert!(m.delivered > 0);
@@ -812,16 +656,17 @@ mod tests {
         // Each extra wavelength relaxes the injection admission control
         // (ports close only when all W wavelengths are busy), so accepted
         // injections grow with W under saturation.
+        let kernel = prepare(de_bruijn(2, 3), FaultSet::new());
         let run = |w: usize| {
-            HotPotatoSim::new(
-                de_bruijn(2, 3),
-                HotPotatoSimConfig {
+            run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 1.0 },
+                &SimOptions {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
                 },
             )
-            .run(&TrafficPattern::Uniform { load: 1.0 })
         };
         let narrow = run(2);
         let wide = run(8);
@@ -835,10 +680,12 @@ mod tests {
         // on full arcs regardless of which wavelengths filled them), but the
         // Random discipline draws from the RNG stream, so the runs may
         // diverge; both must stay conserved and deliver.
+        let kernel = prepare(kautz(2, 3), FaultSet::new());
         for assignment in [WavelengthAssignment::FirstFit, WavelengthAssignment::Random] {
-            let m = HotPotatoSim::new(
-                kautz(2, 3),
-                HotPotatoSimConfig {
+            let m = run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 0.9 },
+                &SimOptions {
                     slots: 400,
                     wavelengths: WavelengthConfig {
                         count: 3,
@@ -846,8 +693,7 @@ mod tests {
                     },
                     ..Default::default()
                 },
-            )
-            .run(&TrafficPattern::Uniform { load: 0.9 });
+            );
             assert!(m.delivered > 0, "{assignment:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }
@@ -858,16 +704,17 @@ mod tests {
         // wavelengths = 1 must not engage the wavelength layer: metrics
         // carry the layer-off sentinel and match the default config bit for
         // bit.
+        let kernel = prepare(de_bruijn(2, 3), FaultSet::new());
         let run = |wavelengths| {
-            HotPotatoSim::new(
-                de_bruijn(2, 3),
-                HotPotatoSimConfig {
+            run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 0.7 },
+                &SimOptions {
                     slots: 400,
                     wavelengths,
                     ..Default::default()
                 },
             )
-            .run(&TrafficPattern::Uniform { load: 0.7 })
         };
         let legacy = run(WavelengthConfig::default());
         assert_eq!(legacy.wavelengths, 0, "layer off ⇒ sentinel 0");
@@ -881,14 +728,11 @@ mod tests {
         // must be indistinguishable from preparing it from scratch: every
         // run, in both wavelength modes, produces identical metrics.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = prepare(g.clone(), FaultSet::new());
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            HotPotatoSimConfig {
-                slots: 300,
-                ..Default::default()
-            },
-            HotPotatoSimConfig {
+            SimOptions::new(300, 1),
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(4),
                 ..Default::default()
@@ -897,11 +741,11 @@ mod tests {
         for node in 0..g.node_count() {
             let faults = FaultSet::from_nodes([node]);
             let repaired = PreparedHotPotato::repair_from(&base, &faults);
-            let fresh = PreparedHotPotato::from_graph(g.clone(), faults);
+            let fresh = prepare(g.clone(), faults);
             for config in &configs {
                 assert_eq!(
-                    repaired.run(&traffic, config),
-                    fresh.run(&traffic, config),
+                    run_pattern(&repaired, &traffic, config),
+                    run_pattern(&fresh, &traffic, config),
                     "node {node}"
                 );
             }
@@ -909,32 +753,32 @@ mod tests {
         // Empty fault set: the repair is the base itself.
         let same = PreparedHotPotato::repair_from(&base, &FaultSet::new());
         assert_eq!(
-            same.run(&traffic, &configs[0]),
-            base.run(&traffic, &configs[0])
+            run_pattern(&same, &traffic, &configs[0]),
+            run_pattern(&base, &traffic, &configs[0])
         );
     }
 
     #[test]
-    fn empty_timeline_is_the_legacy_run() {
-        // The schedule machinery must be inert when no timeline is bound:
-        // identical metrics (and therefore identical RNG draw order) in both
-        // wavelength modes.
-        let kernel = PreparedHotPotato::from_graph(kautz(2, 3), FaultSet::new());
+    fn epochs_past_the_run_leave_it_untouched() {
+        // The swap machinery must be inert until an epoch is reached: a
+        // timeline whose only epoch lies past the last slot gives the
+        // timeline-free run (identical metrics, hence identical RNG draw
+        // order) in both wavelength modes.
+        let g = kautz(2, 3);
+        let kernel = prepare(g.clone(), FaultSet::new());
+        let late = vec![(400u64, prepare(g, FaultSet::from_nodes([2])))];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
-            HotPotatoSimConfig {
-                slots: 400,
-                ..Default::default()
-            },
-            HotPotatoSimConfig {
+            SimOptions::new(400, 1),
+            SimOptions {
                 slots: 400,
                 wavelengths: WavelengthConfig::with_count(3),
                 ..Default::default()
             },
         ] {
-            let timed = kernel.run_with_timeline(&[], &traffic, &config);
-            let legacy = kernel.run(&traffic, &config);
-            assert_eq!(timed, legacy);
+            let timed = run_timeline(&kernel, &late, &traffic, &config);
+            let plain = run_pattern(&kernel, &traffic, &config);
+            assert_eq!(timed, plain);
             assert_eq!(timed.fault_events, 0);
         }
     }
@@ -943,29 +787,21 @@ mod tests {
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
         // prepared from scratch: a timeline built by `timeline_from` (delta
-        // repair) and one rebuilt with fresh `from_graph` kernels produce
-        // the same run, metric for metric.
+        // repair) and one rebuilt with freshly prepared kernels produce the
+        // same run, metric for metric.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = prepare(g.clone(), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 3)@40; recover@160".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         assert_eq!(timeline.len(), 2);
         let fresh: Vec<(u64, PreparedHotPotato)> = timeline
             .iter()
-            .map(|(slot, k)| {
-                (
-                    *slot,
-                    PreparedHotPotato::from_graph(g.clone(), k.faults().clone()),
-                )
-            })
+            .map(|(slot, k)| (*slot, prepare(g.clone(), k.faults().clone())))
             .collect();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
-        let config = HotPotatoSimConfig {
-            slots: 320,
-            ..Default::default()
-        };
-        let repaired = base.run_with_timeline(&timeline, &traffic, &config);
-        let scratch = base.run_with_timeline(&fresh, &traffic, &config);
+        let config = SimOptions::new(320, 1);
+        let repaired = run_timeline(&base, &timeline, &traffic, &config);
+        let scratch = run_timeline(&base, &fresh, &traffic, &config);
         assert_eq!(repaired, scratch);
         assert_eq!(repaired.fault_events, 2);
         assert_eq!(
@@ -981,17 +817,14 @@ mod tests {
         // the faulted kernel: everything but the restoration bookkeeping
         // matches a statically faulted run bit for bit.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = prepare(g.clone(), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 0)@0".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
-        let config = HotPotatoSimConfig {
-            slots: 300,
-            ..Default::default()
-        };
-        let mut timed = base.run_with_timeline(&timeline, &traffic, &config);
-        let faulted = PreparedHotPotato::from_graph(g, FaultSet::from_nodes([0]));
-        let static_run = faulted.run(&traffic, &config);
+        let config = SimOptions::new(300, 1);
+        let mut timed = run_timeline(&base, &timeline, &traffic, &config);
+        let faulted = prepare(g, FaultSet::from_nodes([0]));
+        let static_run = run_pattern(&faulted, &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
         assert_eq!(timed.dropped_by_failure, 0);
@@ -1016,16 +849,11 @@ mod tests {
         // to the dead node (counted separately from congestion drops), and
         // after the scheduled recovery the deflection network restores its
         // pre-failure delivery rate.
-        let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g, FaultSet::new());
+        let base = prepare(kautz(2, 3), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 2)@200; recover@400".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.8 };
-        let config = HotPotatoSimConfig {
-            slots: 800,
-            ..Default::default()
-        };
-        let m = base.run_with_timeline(&timeline, &traffic, &config);
+        let m = run_timeline(&base, &timeline, &traffic, &SimOptions::new(800, 1));
         assert_eq!(m.fault_events, 2);
         assert!(m.in_flight_at_failure > 0, "saturated run has live traffic");
         assert!(m.dropped_by_failure > 0, "the dead node strands messages");
@@ -1037,16 +865,16 @@ mod tests {
 
     #[test]
     fn ttl_guard_drops_runaway_messages() {
-        let sim = HotPotatoSim::new(
-            de_bruijn(2, 2),
-            HotPotatoSimConfig {
+        let m = run_pattern(
+            &prepare(de_bruijn(2, 2), FaultSet::new()),
+            &TrafficPattern::Uniform { load: 1.0 },
+            &SimOptions {
                 slots: 2000,
                 max_hops: 2,
                 seed: 3,
                 ..Default::default()
             },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 1.0 });
         // With such a tight TTL under saturation some messages must be dropped.
         assert!(m.dropped > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);

@@ -28,10 +28,11 @@
 //! * [`demand`] generalizes the injection side beyond stationary patterns:
 //!   a [`DemandSpec`] describes Poisson arrivals, on/off bursts, an
 //!   elephants-and-mice mix, or lazy bounded-memory replay of a recorded
-//!   `.trc` trace, and the per-run [`DemandSource`] it builds drives the
-//!   kernels' `run_demand` entry points through the same allocation-free
-//!   `injections_into` shape (stationary patterns wrap as
-//!   [`DemandSpec::Pattern`] with byte-identical RNG draws).
+//!   `.trc` trace, and the per-run [`DemandSource`] it builds is the only
+//!   traffic input of the kernels' `run` entry points, through the same
+//!   allocation-free `injections_into` shape (stationary patterns wrap as
+//!   [`DemandSource::from_pattern`] with byte-identical RNG draws);
+//! * [`SimOptions`] is the one run config of both simulator families.
 //!
 //! ## Prepare/execute split and delta-repaired kernels
 //!
@@ -43,8 +44,20 @@
 //!   tables and (for multi-OPS) a flat CSR-style table of every
 //!   source/destination route — built once per `(network, fault-pattern)`
 //!   pair and shareable across threads (`Send + Sync`);
-//! * `run(traffic, config)` owns only per-run mutable state and performs
-//!   **no per-slot allocations**.
+//! * each kernel has exactly one run entry point,
+//!   `run(timeline, demand, options, scratch)`
+//!   ([`PreparedHotPotato::run`], [`PreparedMultiOps::run`]): an optional
+//!   fault timeline (empty slice = static faults), a [`DemandSource`] as
+//!   the only traffic input, one [`SimOptions`] and a caller-owned
+//!   [`kernel::SlotScratch`] that holds all per-run mutable state.  A run
+//!   performs **no per-slot allocations**.
+//!
+//! [`SimOptions`] is shared with the `otis-net` facade, which re-exports
+//! it.  Its `faults` and `alt_paths` fields are prepare-time knobs — the
+//! kernel constructors take them — and `run` ignores them, so one kernel
+//! serves every cell that shares its fault pattern.  The one-shot
+//! prepare-then-run conveniences live on `otis_net::Network`
+//! (`simulate`, `simulate_uniform`, `simulate_workload`).
 //!
 //! A fault pattern's kernel does not have to be built from scratch: both
 //! kernels have `repair_from` constructors that derive it from the
@@ -53,9 +66,7 @@
 //! bit-identical to a from-scratch build.  A fault-sweep grid therefore
 //! pays full routing-state construction once per network and a much
 //! cheaper repair per fault pattern; `otis_net::engine` derives its cached
-//! kernels exactly this way.  [`HotPotatoSim`] and [`MultiOpsSim`] remain
-//! as one-shot conveniences (a kernel bundled with one config) and produce
-//! metrics byte-identical to calling the kernel directly.
+//! kernels exactly this way.
 //!
 //! ## Fault timelines and mid-run kernel swaps
 //!
@@ -66,17 +77,17 @@
 //! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
 //! fault-free base (`repair_from` when the swap grows the fault set, the
 //! recovery constructors of `otis-routing` when it shrinks) and
-//! bit-identical to a from-scratch build.  `run_with_timeline` swaps the
-//! active kernel at the start of each epoch slot, before injections:
-//! in-flight messages are re-resolved against the new routing tables
-//! (multi-OPS flights restart their route from the holding processor;
-//! hot-potato messages keep deflecting), and messages stranded on a failed
-//! node/arc or left unreachable are dropped as `dropped_by_failure` —
-//! counted separately from congestion drops.  [`SimMetrics`] gains the
+//! bit-identical to a from-scratch build.  A run given a non-empty
+//! timeline swaps the active kernel at the start of each epoch slot,
+//! before injections: in-flight messages are re-resolved against the new
+//! routing tables (multi-OPS flights restart their route from the holding
+//! processor; hot-potato messages keep deflecting), and messages stranded
+//! on a failed node/arc or left unreachable are dropped as
+//! `dropped_by_failure` — counted separately from congestion drops.  [`SimMetrics`] gains the
 //! restoration columns (`fault_events`, `in_flight_at_failure`,
 //! `dropped_by_failure`, `restore_slots`, `post_failure_latency_peak`), all
-//! undefined when no swap happened.  An empty timeline takes the exact
-//! legacy code path: same RNG draw order, same metrics, byte for byte.
+//! undefined when no swap happened.  An empty timeline never touches the
+//! swap machinery.
 //!
 //! ## The struct-of-arrays slot engine
 //!
@@ -123,12 +134,11 @@
 //!
 //! Per-run mutable state lives in a reusable [`kernel::SlotScratch`] pool:
 //! the [`kernel::RunCore`], the [`kernel::MessageArena`], the injection
-//! buffer, and each kernel's private buckets/queues/bitsets.  Every
-//! `run_*_scratch` entry point begins by resetting the pool — cleared
-//! lengths, kept allocations — so a reused pool is indistinguishable from
-//! a fresh one (the arena hands out the exact handle sequence a fresh one
-//! would) while touching the allocator only when a run out-peaks
-//! everything before it.  The legacy entry points wrap a fresh pool;
+//! buffer, and each kernel's private buckets/queues/bitsets.  Every `run`
+//! begins by resetting the pool — cleared lengths, kept allocations — so a
+//! reused pool is indistinguishable from a fresh one (the arena hands out
+//! the exact handle sequence a fresh one would) while touching the
+//! allocator only when a run out-peaks everything before it.
 //! `otis_net::engine` hands each worker thread one pool for its whole
 //! lifetime and threads every grid cell through it, reporting the saved
 //! setups as `StreamSummary::scratch_reuses`.
@@ -159,6 +169,7 @@ pub mod kernel;
 pub mod message;
 pub mod metrics;
 pub mod multi_ops;
+pub mod options;
 pub mod schedule;
 pub mod traffic;
 pub mod wavelength;
@@ -168,11 +179,12 @@ pub use demand::{
     matched_burst_rate, validate_trace, DemandSource, DemandSpec, TraceError, TraceReplay,
     TraceStats,
 };
-pub use hot_potato::{HotPotatoSim, HotPotatoSimConfig, PreparedHotPotato};
+pub use hot_potato::PreparedHotPotato;
 pub use kernel::{MessageArena, PortBits, RunCore, SlotScratch};
 pub use message::Message;
 pub use metrics::{MetricValue, SimMetrics};
-pub use multi_ops::{MultiOpsSim, MultiOpsSimConfig, PreparedMultiOps};
+pub use multi_ops::PreparedMultiOps;
+pub use options::SimOptions;
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};
 pub use traffic::TrafficPattern;
 pub use wavelength::{WavelengthAssignment, WavelengthConfig};

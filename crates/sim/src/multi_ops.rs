@@ -5,8 +5,8 @@
 //! * time is divided into slots;
 //! * each OPS coupler carries one message per slot *per wavelength*
 //!   (capacity 1 in the paper's single-wavelength model, `W` under a
-//!   [`WavelengthConfig`] with `count = W`), each chosen by an
-//!   [`ArbitrationPolicy`] among the processors of its tail that have a
+//!   [`crate::WavelengthConfig`] with `count = W`), each chosen by an
+//!   [`crate::ArbitrationPolicy`] among the processors of its tail that have a
 //!   message queued for it;
 //! * a processor has one transmitter per coupler it feeds and one receiver
 //!   per coupler it hears (as in the OTIS designs), so it can take part in
@@ -25,75 +25,29 @@
 //!   ([`PreparedMultiOps::repair_from`]): only quotient columns and route
 //!   pairs the faults actually touch are recomputed, and the result is
 //!   bit-identical to building from scratch;
-//! * [`PreparedMultiOps::run`] owns only per-run mutable state and drives
-//!   the shared struct-of-arrays slot engine of [`crate::kernel`]: messages
+//! * [`PreparedMultiOps::run`] — the kernel's one run entry point — owns
+//!   only per-run mutable state (in a caller-owned
+//!   [`crate::kernel::SlotScratch`]) and drives the shared
+//!   struct-of-arrays slot engine of [`crate::kernel`]: messages
 //!   live in a [`crate::kernel::MessageArena`], the per-coupler queues hold
 //!   `u32` handles, and per-flight routing state (current route, hop
 //!   position, holder) sits in parallel arrays indexed by handle.  No
 //!   per-slot allocations: routes are precomputed slices, and the
 //!   arbitration candidate buffer is reused across couplers and slots.
 //!
-//! One loop serves both transmission disciplines.  With the default
-//! capacity 1 and no alternates, couplers run the *queued* discipline:
-//! per-coupler queues, one grant per coupler per slot, back-pressure via
-//! `queue_limit`, wavelength layer off.  With `wavelengths.count > 1` (or
-//! alternate routes prepared via [`PreparedMultiOps::with_alternates`]) the
-//! couplers run the *bufferless transmit-or-block* discipline: every
-//! message must transmit in the slot it reaches a coupler.  Up to `W`
-//! messages win each coupler per slot (occupancy tracked by a reused
-//! [`SpectrumMap`] bitmask); a loser tries the precomputed alternate routes
-//! from its current holder, taking the first whose leading coupler still
-//! has a free wavelength, and is otherwise counted *blocked* and dropped.
-//! The `queue_limit` knob is ignored in bufferless mode — there are no
-//! queues to limit.  Both disciplines are byte-identical to the previous
-//! per-coupler `VecDeque<InFlight>` engine: same RNG draw order, same
-//! arbitration candidate order, same metrics.
-//!
-//! [`MultiOpsSim`] remains as the one-shot convenience: a prepared kernel
-//! bundled with one [`MultiOpsSimConfig`].
+//! One loop serves both transmission disciplines, *queued* and
+//! *bufferless transmit-or-block*; [`PreparedMultiOps::run`] describes
+//! both.
 
-use crate::arbitration::ArbitrationPolicy;
 use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, SlotScratch};
 use crate::metrics::SimMetrics;
+use crate::options::SimOptions;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::traffic::TrafficPattern;
-use crate::wavelength::WavelengthConfig;
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
 use otis_routing::{FaultSet, StackHop, StackRouter};
 use std::sync::Arc;
-
-/// Configuration of one multi-OPS simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiOpsSimConfig {
-    /// Number of slots to simulate.
-    pub slots: u64,
-    /// Arbitration policy applied at every coupler.
-    pub policy: ArbitrationPolicy,
-    /// Random seed (traffic and random arbitration).
-    pub seed: u64,
-    /// Messages a processor may hold queued per coupler before it stops
-    /// injecting (back-pressure).  `0` means unlimited.  Ignored in
-    /// wavelength mode (the bufferless loop has no queues).
-    pub queue_limit: usize,
-    /// Wavelength capacity per coupler.  The default (capacity 1) keeps the
-    /// legacy queued slot loop; `count > 1` engages the bufferless
-    /// transmit-or-block wavelength loop.
-    pub wavelengths: WavelengthConfig,
-}
-
-impl Default for MultiOpsSimConfig {
-    fn default() -> Self {
-        MultiOpsSimConfig {
-            slots: 1000,
-            policy: ArbitrationPolicy::OldestFirst,
-            seed: 1,
-            queue_limit: 0,
-            wavelengths: WavelengthConfig::default(),
-        }
-    }
-}
 
 /// Per-flight routing state of the slot loop, parallel arrays indexed by
 /// [`MessageArena`] handle (the arena itself holds the message columns —
@@ -617,12 +571,6 @@ impl PreparedMultiOps {
         }
     }
 
-    /// Prepares a kernel from an owned stack-graph; see
-    /// [`PreparedMultiOps::new`].
-    pub fn from_stack(stack: StackGraph, faults: FaultSet) -> Self {
-        Self::new(Arc::new(stack), faults)
-    }
-
     /// Derives the kernel for `faults` from a fault-free base kernel by
     /// delta-repair instead of rebuilding from scratch: the quotient routing
     /// table is column-repaired (see [`StackRouter::from_repair`]), only the
@@ -724,7 +672,7 @@ impl PreparedMultiOps {
     /// ([`PreparedMultiOps::repair_from`]); epochs that shrink it are
     /// derived from the preceding epoch's kernel by the recovery path
     /// ([`PreparedMultiOps::recover_from`]).  The result feeds
-    /// [`PreparedMultiOps::run_with_timeline`].  `alt_paths` must equal the
+    /// [`PreparedMultiOps::run`].  `alt_paths` must equal the
     /// value `base` and `initial` were prepared with.
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
@@ -804,21 +752,52 @@ impl PreparedMultiOps {
         }
     }
 
-    /// Executes one run: `config` carries the run-scoped knobs (slots, seed,
-    /// arbitration policy, queue limit, wavelength capacity), `traffic`
-    /// drives the injections.  One struct-of-arrays slot loop serves both
-    /// transmission disciplines.
+    /// Executes one run — the kernel's single run entry point.
+    ///
+    /// * `options` carries the run-scoped knobs: `slots`, `seed`, `policy`
+    ///   (per-coupler arbitration), `queue_limit` and `wavelengths`.
+    ///   `faults` and `alt_paths` are fixed at prepare time and ignored
+    ///   here, so one kernel serves every cell that shares its fault
+    ///   pattern.
+    /// * `demand` drives the injections.  Wrap a stationary pattern with
+    ///   [`DemandSource::from_pattern`]; demand processes (Poisson, on/off,
+    ///   trace replay) come from [`crate::DemandSpec::source`].  The source
+    ///   is mutable because demand processes carry mid-run state, so build
+    ///   a fresh one per run.
+    /// * `timeline` is a chronological list of `(slot, kernel)` epochs (see
+    ///   [`PreparedMultiOps::timeline_from`]); at the start of each epoch's
+    ///   slot, before injections, the active kernel is swapped.  Every
+    ///   in-flight message is re-resolved against the new routing tables —
+    ///   its route restarts from the processor currently holding it; a
+    ///   message held by or destined to a failed group, or left
+    ///   unreachable, is dropped and counted in `dropped_by_failure` (as
+    ///   well as `dropped`).  The restoration metrics (`fault_events`,
+    ///   `in_flight_at_failure`, `restore_slots`,
+    ///   `post_failure_latency_peak`) are anchored to the first swap that
+    ///   introduces new failures.  An empty timeline never touches the swap
+    ///   machinery.
+    /// * `scratch` holds every piece of per-run mutable state — the message
+    ///   arena, the flight-state arrays, the coupler queues and the
+    ///   arbitration candidate buffer.  It is reset on entry (cleared
+    ///   lengths, kept allocations), so a reused pool is indistinguishable
+    ///   from a fresh one and consecutive runs reallocate nothing; no
+    ///   per-slot allocations either.
+    ///
+    /// One struct-of-arrays slot loop serves both transmission
+    /// disciplines, fixed for the whole run.
     ///
     /// *Queued* (capacity 1, no alternates): per-coupler queues, one grant
     /// per coupler per slot, back-pressure via `queue_limit`, wavelength
-    /// layer off.
+    /// layer off.  `queue_limit` is ignored in the other discipline, which
+    /// has no queues to limit.
     ///
-    /// *Bufferless transmit-or-block* (`W > 1` or alternates prepared):
-    /// couplers are processed in index order and grant up to `W`
-    /// transmissions each (winners chosen one at a time by the arbitration
-    /// policy, wavelengths by the assignment discipline — occupancy lives in
-    /// a reused [`SpectrumMap`], cleared per slot, never reallocated).  A
-    /// message that finds its coupler exhausted falls back to the prepared
+    /// *Bufferless transmit-or-block* (`W > 1`, or alternates prepared on
+    /// any kernel of the run, initial or scheduled): couplers are processed
+    /// in index order and grant up to `W` transmissions each (winners
+    /// chosen one at a time by the arbitration policy, wavelengths by the
+    /// assignment discipline — occupancy lives in a reused
+    /// [`SpectrumMap`], cleared per slot, never reallocated).  A message
+    /// that finds its coupler exhausted falls back to the prepared
     /// alternate routes out of its current holder, taking the first whose
     /// leading coupler still has a free wavelength — an alternate grant
     /// bypasses that coupler's arbitration round, consuming spare capacity
@@ -828,131 +807,27 @@ impl PreparedMultiOps {
     /// slot (in queued mode a lower-index forward simply sits in its queue
     /// until the next slot comes around).
     ///
-    /// All mutable state is local to this call — the message arena, the
-    /// handle buckets, the flight-state arrays and the arbitration candidate
-    /// buffer are reused across couplers and slots, no per-slot allocations.
-    pub fn run(&self, traffic: &TrafficPattern, config: &MultiOpsSimConfig) -> SimMetrics {
-        self.run_with_timeline(&[], traffic, config)
-    }
-
-    /// Executes one run driven by a [`DemandSource`] — the demand-side
-    /// generalization of [`PreparedMultiOps::run`].  The source is mutable
-    /// because demand processes carry mid-run state (burst phases, the
-    /// trace lookahead); build a fresh one per run with
-    /// [`crate::DemandSpec::source`].  A [`DemandSource::Pattern`] source
-    /// draws from the RNG exactly as `run` does — byte-identical metrics.
-    pub fn run_demand(&self, demand: &mut DemandSource, config: &MultiOpsSimConfig) -> SimMetrics {
-        self.run_demand_with_timeline(&[], demand, config)
-    }
-
-    /// Executes one run under a fault timeline: `timeline` is a
-    /// chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedMultiOps::timeline_from`]); at the start of each epoch's
-    /// slot, before injections, the active kernel is swapped.  Every
-    /// in-flight message is re-resolved against the new routing tables —
-    /// its route restarts from the processor currently holding it; a
-    /// message held by or destined to a failed group, or left unreachable,
-    /// is dropped and counted in `dropped_by_failure` (as well as
-    /// `dropped`).  The transmission discipline is fixed for the whole run:
-    /// bufferless if any kernel of the run (initial or scheduled) has
-    /// alternates, or the wavelength layer is on.  The restoration metrics
-    /// (`fault_events`, `in_flight_at_failure`, `restore_slots`,
-    /// `post_failure_latency_peak`) are anchored to the first swap that
-    /// introduces new failures.
-    ///
-    /// An empty timeline takes the exact legacy code path — same RNG draw
-    /// order, same metrics as [`PreparedMultiOps::run`], byte for byte.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline(timeline, &mut demand, config)
-    }
-
-    /// Executes one run under a fault timeline, driven by a
-    /// [`DemandSource`] — the entry point both
-    /// [`PreparedMultiOps::run_with_timeline`] and
-    /// [`PreparedMultiOps::run_demand`] reduce to.  Allocates a private
-    /// [`SlotScratch`] per call; engines that run many cells should hold one
-    /// pool per worker and call
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`] instead.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
-    ) -> SimMetrics {
-        let mut scratch = SlotScratch::new();
-        self.run_demand_with_timeline_scratch(timeline, demand, config, &mut scratch)
-    }
-
-    /// [`PreparedMultiOps::run`] through a caller-owned scratch pool; see
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_scratch(
-        &self,
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(&[], &mut demand, config, scratch)
-    }
-
-    /// [`PreparedMultiOps::run_demand`] through a caller-owned scratch
-    /// pool; see [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_demand_scratch(
-        &self,
-        demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        self.run_demand_with_timeline_scratch(&[], demand, config, scratch)
-    }
-
-    /// [`PreparedMultiOps::run_with_timeline`] through a caller-owned
-    /// scratch pool; see
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_with_timeline_scratch(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(timeline, &mut demand, config, scratch)
-    }
-
-    /// The full-generality entry point every other `run*` method reduces
-    /// to, threading a caller-owned [`SlotScratch`] pool so consecutive
-    /// runs reuse the arena, flight-state arrays and coupler queues instead
-    /// of reallocating.  Byte-identical to the plain entry points — a reset
-    /// pool is indistinguishable from fresh state.
-    ///
-    /// The slot body was already phase-batched (see the *hot path anatomy*
-    /// section of the crate docs): the **inject** phase admits this slot's
-    /// arrivals in processor order — one pass over the demand decisions and
-    /// the route table's first hops; the **arbitrate/advance/deliver** phase
+    /// The slot body is phase-batched (see the *hot path anatomy* section
+    /// of the crate docs): the **inject** phase admits this slot's arrivals
+    /// in processor order — one pass over the demand decisions and the
+    /// route table's first hops; the **arbitrate/advance/deliver** phase
     /// then walks the couplers in index order, each round one pass over the
     /// pending queue's `holder`/`injected_at` columns, advancing winners a
     /// hop and delivering or forwarding them; the bufferless **overflow**
     /// sub-phase re-roots losers onto alternates or drops them blocked.
-    pub fn run_demand_with_timeline_scratch(
+    pub fn run(
         &self,
         timeline: &[(u64, PreparedMultiOps)],
         demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
+        options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         let n = self.processor_count();
         let couplers = self.coupler_count();
-        let bufferless = config.wavelengths.is_multiplexed()
+        let bufferless = options.wavelengths.is_multiplexed()
             || self.has_alternates()
             || timeline.iter().any(|(_, k)| k.has_alternates());
-        scratch.begin_run(config.seed, n, couplers);
+        scratch.begin_run(options.seed, n, couplers);
         scratch.ops.begin_run(couplers);
         let SlotScratch {
             core,
@@ -970,7 +845,7 @@ impl PreparedMultiOps {
             overflow,
         } = ops;
         let mut spectrum = if bufferless {
-            let w = config.wavelengths.count.max(1);
+            let w = options.wavelengths.count.max(1);
             core.metrics.wavelengths = w;
             Some(SpectrumMap::new(couplers, w))
         } else {
@@ -980,7 +855,7 @@ impl PreparedMultiOps {
         let mut next_epoch = 0usize;
         let mut tracker = RestoreTracker::default();
 
-        for slot in 0..config.slots {
+        for slot in 0..options.slots {
             core.begin_slot(slot);
             // Kernel swaps scheduled for this slot apply before injections:
             // drain every pending queue (coupler-ascending, preserving order)
@@ -1030,8 +905,8 @@ impl PreparedMultiOps {
                 }
                 let first_coupler = route[0].coupler;
                 if !bufferless
-                    && config.queue_limit > 0
-                    && pending[first_coupler].len() >= config.queue_limit
+                    && options.queue_limit > 0
+                    && pending[first_coupler].len() >= options.queue_limit
                 {
                     // Back-pressure: the injection is refused, not counted.
                     // (Bufferless mode has no queues, hence no back-pressure:
@@ -1064,7 +939,7 @@ impl PreparedMultiOps {
                             .map(|&h| (flights.holder(h), arena.injected_at(h))),
                     );
                     let Some(winner_idx) =
-                        config
+                        options
                             .policy
                             .pick(candidates, last_winner[coupler], &mut core.rng)
                     else {
@@ -1076,7 +951,7 @@ impl PreparedMultiOps {
                         let lambda = assign_wavelength(
                             spectrum,
                             coupler,
-                            config.wavelengths.assignment,
+                            options.wavelengths.assignment,
                             &mut core.rng,
                         );
                         arena.set_wavelength(handle, lambda);
@@ -1137,7 +1012,7 @@ impl PreparedMultiOps {
                         let lambda = assign_wavelength(
                             spectrum,
                             first,
-                            config.wavelengths.assignment,
+                            options.wavelengths.assignment,
                             &mut core.rng,
                         );
                         arena.set_wavelength(handle, lambda);
@@ -1184,74 +1059,43 @@ impl PreparedMultiOps {
     }
 }
 
-/// The multi-OPS network simulator: a [`PreparedMultiOps`] kernel bundled
-/// with one [`MultiOpsSimConfig`].  Kept as the one-shot convenience; sweeps
-/// that run many seeds or traffic patterns over the same network should
-/// hold the prepared kernel directly and call [`PreparedMultiOps::run`] per
-/// cell.
-#[derive(Debug)]
-pub struct MultiOpsSim {
-    prepared: PreparedMultiOps,
-    config: MultiOpsSimConfig,
-}
-
-impl MultiOpsSim {
-    /// Creates a simulator for the given stack-graph network.
-    pub fn new(stack: StackGraph, config: MultiOpsSimConfig) -> Self {
-        Self::with_faults(stack, config, FaultSet::new())
-    }
-
-    /// Creates a simulator that routes around the given faults; see
-    /// [`PreparedMultiOps::new`] for the fault semantics.
-    pub fn with_faults(stack: StackGraph, config: MultiOpsSimConfig, faults: FaultSet) -> Self {
-        MultiOpsSim {
-            prepared: PreparedMultiOps::from_stack(stack, faults),
-            config,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MultiOpsSimConfig {
-        &self.config
-    }
-
-    /// Number of processors simulated.
-    pub fn processor_count(&self) -> usize {
-        self.prepared.processor_count()
-    }
-
-    /// Number of couplers simulated.
-    pub fn coupler_count(&self) -> usize {
-        self.prepared.coupler_count()
-    }
-
-    /// The immutable kernel behind this simulator.
-    pub fn prepared(&self) -> &PreparedMultiOps {
-        &self.prepared
-    }
-
-    /// Runs the simulation under the given traffic pattern.
-    pub fn run(&self, traffic: &TrafficPattern) -> SimMetrics {
-        self.prepared.run(traffic, &self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wavelength::WavelengthAssignment;
+    use crate::arbitration::ArbitrationPolicy;
+    use crate::traffic::TrafficPattern;
+    use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
     use otis_topologies::{Pops, StackKautz};
 
+    fn prepare(stack: &StackGraph, faults: FaultSet) -> PreparedMultiOps {
+        PreparedMultiOps::new(Arc::new(stack.clone()), faults)
+    }
+
+    /// One timeline-free run under a stationary pattern, fresh scratch.
+    fn run_pattern(
+        kernel: &PreparedMultiOps,
+        traffic: &TrafficPattern,
+        options: &SimOptions,
+    ) -> SimMetrics {
+        run_timeline(kernel, &[], traffic, options)
+    }
+
+    fn run_timeline(
+        kernel: &PreparedMultiOps,
+        timeline: &[(u64, PreparedMultiOps)],
+        traffic: &TrafficPattern,
+        options: &SimOptions,
+    ) -> SimMetrics {
+        let mut demand = DemandSource::from_pattern(traffic.clone());
+        kernel.run(timeline, &mut demand, options, &mut SlotScratch::new())
+    }
+
     fn pops_sim(load: f64, slots: u64) -> SimMetrics {
-        let pops = Pops::new(4, 2);
-        let sim = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots,
-                ..Default::default()
-            },
-        );
-        sim.run(&TrafficPattern::Uniform { load })
+        run_pattern(
+            &prepare(Pops::new(4, 2).stack_graph(), FaultSet::new()),
+            &TrafficPattern::Uniform { load },
+            &SimOptions::new(slots, 1),
+        )
     }
 
     #[test]
@@ -1278,14 +1122,11 @@ mod tests {
     #[test]
     fn stack_kautz_hops_within_diameter() {
         let sk = StackKautz::new(3, 2, 2);
-        let sim = MultiOpsSim::new(
-            sk.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: 2000,
-                ..Default::default()
-            },
+        let m = run_pattern(
+            &prepare(sk.stack_graph(), FaultSet::new()),
+            &TrafficPattern::Uniform { load: 0.05 },
+            &SimOptions::new(2000, 1),
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.05 });
         assert!(m.delivered > 0);
         assert!(m.average_hops() <= 2.0 + 1e-9);
         assert!(m.average_hops() >= 1.0);
@@ -1314,25 +1155,20 @@ mod tests {
 
     #[test]
     fn queue_limit_applies_back_pressure() {
-        let pops = Pops::new(4, 2);
-        let unlimited = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: 500,
-                queue_limit: 0,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 1.0 });
-        let limited = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: 500,
-                queue_limit: 2,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 1.0 });
+        let kernel = prepare(Pops::new(4, 2).stack_graph(), FaultSet::new());
+        let run = |queue_limit| {
+            run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 1.0 },
+                &SimOptions {
+                    slots: 500,
+                    queue_limit,
+                    ..Default::default()
+                },
+            )
+        };
+        let unlimited = run(0);
+        let limited = run(2);
         assert!(limited.injected < unlimited.injected);
         assert!(limited.in_flight <= unlimited.in_flight);
     }
@@ -1349,15 +1185,18 @@ mod tests {
         // SK(2,2,2): quotient KG(2,2), d = 2 — one failed group is within
         // the §2.5 survivability claim; delivered routes stay <= k + 2 = 4.
         let sk = StackKautz::new(2, 2, 2);
-        let config = MultiOpsSimConfig {
-            slots: 600,
-            ..Default::default()
-        };
-        let intact = MultiOpsSim::new(sk.stack_graph().clone(), config)
-            .run(&TrafficPattern::Uniform { load: 0.4 });
-        let faulty =
-            MultiOpsSim::with_faults(sk.stack_graph().clone(), config, FaultSet::from_nodes([2]))
-                .run(&TrafficPattern::Uniform { load: 0.4 });
+        let config = SimOptions::new(600, 1);
+        let traffic = TrafficPattern::Uniform { load: 0.4 };
+        let intact = run_pattern(
+            &prepare(sk.stack_graph(), FaultSet::new()),
+            &traffic,
+            &config,
+        );
+        let faulty = run_pattern(
+            &prepare(sk.stack_graph(), FaultSet::from_nodes([2])),
+            &traffic,
+            &config,
+        );
         assert!(faulty.delivered > 0);
         assert_eq!(
             faulty.injected,
@@ -1370,22 +1209,23 @@ mod tests {
     #[test]
     fn prepared_kernel_reuse_matches_fresh_construction() {
         // The prepare/execute contract, multi-OPS side: one kernel driven
-        // with many (seed, traffic, slots) combinations matches rebuilding
-        // the simulator (router + quotient table + flat routes) per run.
+        // with many (seed, traffic, slots) combinations through one reused
+        // scratch pool matches rebuilding the kernel (router + quotient
+        // table + flat routes) per run.
         let sk = StackKautz::new(2, 2, 2);
+        let mut scratch = SlotScratch::new();
         for faults in [FaultSet::new(), FaultSet::from_nodes([2])] {
-            let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), faults.clone());
+            let kernel = prepare(sk.stack_graph(), faults.clone());
             for (seed, load, slots) in [(1u64, 0.4, 400u64), (7, 0.9, 250), (31, 0.1, 600)] {
-                let config = MultiOpsSimConfig {
-                    slots,
-                    seed,
-                    ..Default::default()
-                };
+                let config = SimOptions::new(slots, seed);
                 let traffic = TrafficPattern::Uniform { load };
-                let reused = kernel.run(&traffic, &config);
-                let fresh =
-                    MultiOpsSim::with_faults(sk.stack_graph().clone(), config, faults.clone())
-                        .run(&traffic);
+                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let reused = kernel.run(&[], &mut demand, &config, &mut scratch);
+                let fresh = run_pattern(
+                    &prepare(sk.stack_graph(), faults.clone()),
+                    &traffic,
+                    &config,
+                );
                 assert_eq!(reused, fresh, "seed {seed} load {load}");
             }
         }
@@ -1403,9 +1243,10 @@ mod tests {
             kernel.has_alternates(),
             "SK(2,2,2) has alternate quotient paths"
         );
-        let m = kernel.run(
+        let m = run_pattern(
+            &kernel,
             &TrafficPattern::Uniform { load: 0.9 },
-            &MultiOpsSimConfig {
+            &SimOptions {
                 slots: 500,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
@@ -1427,17 +1268,17 @@ mod tests {
 
     #[test]
     fn more_wavelengths_reduce_blocking() {
-        let pops = Pops::new(3, 4);
+        let kernel = prepare(Pops::new(3, 4).stack_graph(), FaultSet::new());
         let run = |w: usize| {
-            MultiOpsSim::new(
-                pops.stack_graph().clone(),
-                MultiOpsSimConfig {
+            run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 1.0 },
+                &SimOptions {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
                 },
             )
-            .run(&TrafficPattern::Uniform { load: 1.0 })
         };
         let narrow = run(2);
         let wide = run(8);
@@ -1460,12 +1301,10 @@ mod tests {
             FaultSet::new(),
             2,
         );
-        let m = kernel.run(
+        let m = run_pattern(
+            &kernel,
             &TrafficPattern::Uniform { load: 0.8 },
-            &MultiOpsSimConfig {
-                slots: 400,
-                ..Default::default()
-            },
+            &SimOptions::new(400, 1),
         );
         assert_eq!(m.wavelengths, 1);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
@@ -1484,11 +1323,12 @@ mod tests {
 
     #[test]
     fn random_assignment_draws_but_conserves() {
-        let pops = Pops::new(3, 3);
+        let kernel = prepare(Pops::new(3, 3).stack_graph(), FaultSet::new());
         for assignment in [WavelengthAssignment::FirstFit, WavelengthAssignment::Random] {
-            let m = MultiOpsSim::new(
-                pops.stack_graph().clone(),
-                MultiOpsSimConfig {
+            let m = run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 0.9 },
+                &SimOptions {
                     slots: 300,
                     wavelengths: WavelengthConfig {
                         count: 4,
@@ -1496,8 +1336,7 @@ mod tests {
                     },
                     ..Default::default()
                 },
-            )
-            .run(&TrafficPattern::Uniform { load: 0.9 });
+            );
             assert!(m.delivered > 0, "{assignment:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }
@@ -1513,11 +1352,8 @@ mod tests {
         let groups = stack.quotient().node_count();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            MultiOpsSimConfig {
-                slots: 300,
-                ..Default::default()
-            },
-            MultiOpsSimConfig {
+            SimOptions::new(300, 1),
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
@@ -1533,8 +1369,8 @@ mod tests {
                     PreparedMultiOps::with_alternates(Arc::clone(&stack), faults, alt_paths);
                 for config in &configs {
                     assert_eq!(
-                        repaired.run(&traffic, config),
-                        fresh.run(&traffic, config),
+                        run_pattern(&repaired, &traffic, config),
+                        run_pattern(&fresh, &traffic, config),
                         "group {group} alt_paths {alt_paths}"
                     );
                 }
@@ -1542,12 +1378,11 @@ mod tests {
             // Empty fault set: the repair is the base itself.
             let same = PreparedMultiOps::repair_from(&base, &FaultSet::new(), alt_paths);
             assert_eq!(
-                same.run(&traffic, &configs[0]),
-                base.run(&traffic, &configs[0])
+                run_pattern(&same, &traffic, &configs[0]),
+                run_pattern(&base, &traffic, &configs[0])
             );
         }
     }
-
     #[test]
     fn repaired_alternates_are_bit_identical_to_from_scratch_yen() {
         // The tentpole contract of the repair-aware alternates: for every
@@ -1610,11 +1445,8 @@ mod tests {
         let previous = FaultSet::from_nodes([0, 3]);
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            MultiOpsSimConfig {
-                slots: 300,
-                ..Default::default()
-            },
-            MultiOpsSimConfig {
+            SimOptions::new(300, 1),
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
@@ -1639,8 +1471,8 @@ mod tests {
                 );
                 for config in &configs {
                     assert_eq!(
-                        recovered.run(&traffic, config),
-                        fresh.run(&traffic, config),
+                        run_pattern(&recovered, &traffic, config),
+                        run_pattern(&fresh, &traffic, config),
                         "target {target:?} alt_paths {alt_paths}"
                     );
                 }
@@ -1649,27 +1481,26 @@ mod tests {
     }
 
     #[test]
-    fn empty_timeline_is_the_legacy_run() {
-        // The schedule machinery must be inert when no timeline is bound:
-        // identical metrics (and therefore identical RNG draw order) in
-        // both disciplines.
+    fn epochs_past_the_run_leave_it_untouched() {
+        // The swap machinery must be inert until an epoch is reached: a
+        // timeline whose only epoch lies past the last slot gives the
+        // timeline-free run (identical metrics, hence identical RNG draw
+        // order) in both disciplines.
         let sk = StackKautz::new(2, 2, 2);
-        let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let kernel = prepare(sk.stack_graph(), FaultSet::new());
+        let late = vec![(400u64, prepare(sk.stack_graph(), FaultSet::from_nodes([1])))];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
-            MultiOpsSimConfig {
-                slots: 400,
-                ..Default::default()
-            },
-            MultiOpsSimConfig {
+            SimOptions::new(400, 1),
+            SimOptions {
                 slots: 400,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
             },
         ] {
-            let timed = kernel.run_with_timeline(&[], &traffic, &config);
-            let legacy = kernel.run(&traffic, &config);
-            assert_eq!(timed, legacy);
+            let timed = run_timeline(&kernel, &late, &traffic, &config);
+            let plain = run_pattern(&kernel, &traffic, &config);
+            assert_eq!(timed, plain);
             assert_eq!(timed.fault_events, 0);
         }
     }
@@ -1704,12 +1535,9 @@ mod tests {
                     )
                 })
                 .collect();
-            let config = MultiOpsSimConfig {
-                slots: 320,
-                ..Default::default()
-            };
-            let repaired = base.run_with_timeline(&timeline, &traffic, &config);
-            let scratch = base.run_with_timeline(&fresh, &traffic, &config);
+            let config = SimOptions::new(320, 1);
+            let repaired = run_timeline(&base, &timeline, &traffic, &config);
+            let scratch = run_timeline(&base, &fresh, &traffic, &config);
             assert_eq!(repaired, scratch, "alt_paths {alt_paths}");
             assert_eq!(repaired.fault_events, 2);
             assert_eq!(
@@ -1726,18 +1554,14 @@ mod tests {
         // the faulted kernel: everything but the restoration bookkeeping
         // matches a statically faulted run bit for bit.
         let sk = StackKautz::new(2, 2, 2);
-        let base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let base = prepare(sk.stack_graph(), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 2)@0".parse().unwrap();
         let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
-        let config = MultiOpsSimConfig {
-            slots: 300,
-            ..Default::default()
-        };
-        let mut timed = base.run_with_timeline(&timeline, &traffic, &config);
-        let faulted =
-            PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::from_nodes([2]));
-        let static_run = faulted.run(&traffic, &config);
+        let config = SimOptions::new(300, 1);
+        let mut timed = run_timeline(&base, &timeline, &traffic, &config);
+        let faulted = prepare(sk.stack_graph(), FaultSet::from_nodes([2]));
+        let static_run = run_pattern(&faulted, &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
         assert_eq!(timed.dropped_by_failure, 0);
@@ -1759,15 +1583,11 @@ mod tests {
         // after the scheduled recovery the network restores its pre-failure
         // delivery rate.
         let sk = StackKautz::new(2, 2, 2);
-        let base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let base = prepare(sk.stack_graph(), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 2)@200; recover@260".parse().unwrap();
         let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.9 };
-        let config = MultiOpsSimConfig {
-            slots: 2000,
-            ..Default::default()
-        };
-        let m = base.run_with_timeline(&timeline, &traffic, &config);
+        let m = run_timeline(&base, &timeline, &traffic, &SimOptions::new(2000, 1));
         assert_eq!(m.fault_events, 2);
         assert!(m.in_flight_at_failure > 0, "saturated run has live flights");
         assert!(m.dropped_by_failure > 0, "the dead group strands flights");
@@ -1779,21 +1599,21 @@ mod tests {
 
     #[test]
     fn arbitration_policies_all_work() {
-        let pops = Pops::new(3, 3);
+        let kernel = prepare(Pops::new(3, 3).stack_graph(), FaultSet::new());
         for policy in [
             ArbitrationPolicy::RoundRobin,
             ArbitrationPolicy::OldestFirst,
             ArbitrationPolicy::Random,
         ] {
-            let sim = MultiOpsSim::new(
-                pops.stack_graph().clone(),
-                MultiOpsSimConfig {
+            let m = run_pattern(
+                &kernel,
+                &TrafficPattern::Uniform { load: 0.8 },
+                &SimOptions {
                     slots: 300,
                     policy,
                     ..Default::default()
                 },
             );
-            let m = sim.run(&TrafficPattern::Uniform { load: 0.8 });
             assert!(m.delivered > 0, "{policy:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }

@@ -1,10 +1,11 @@
 //! Family-independent simulation options.
 
+use crate::arbitration::ArbitrationPolicy;
+use crate::wavelength::WavelengthConfig;
 use otis_routing::FaultSet;
-use otis_sim::{ArbitrationPolicy, WavelengthConfig};
 
-/// Options of one [`crate::Network::simulate`] run, covering both simulator
-/// back-ends (the multi-OPS slotted simulator and the hot-potato baseline).
+/// Options of one simulation run, covering both simulator back-ends (the
+/// multi-OPS slotted simulator and the hot-potato baseline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
     /// Number of slots to simulate.

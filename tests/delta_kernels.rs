@@ -12,7 +12,7 @@ use otis_lightwave::net::{FaultSet, Network, SimOptions};
 use otis_lightwave::routing::{
     node_fault_patterns_up_to, surviving_subgraph, RoutingTable, StackRouter,
 };
-use otis_lightwave::sim::TrafficPattern;
+use otis_lightwave::sim::{SlotScratch, TrafficPattern};
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
 
 #[test]
@@ -118,8 +118,13 @@ fn repaired_kernels_run_byte_identical_to_fresh_kernels() {
             assert_eq!(repaired.faults(), fresh.faults(), "{spec}");
             let options = SimOptions::new(120, 7).with_faults(faults.clone());
             assert_eq!(
-                repaired.run(&traffic, &options),
-                fresh.run(&traffic, &options),
+                repaired.run_with_timeline_scratch(
+                    None,
+                    &traffic,
+                    &options,
+                    &mut SlotScratch::new()
+                ),
+                fresh.run_with_timeline_scratch(None, &traffic, &options, &mut SlotScratch::new()),
                 "{spec} (alt_paths {alt_paths}) diverged under faults {:?}",
                 faults.sorted_nodes()
             );

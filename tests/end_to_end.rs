@@ -3,9 +3,25 @@
 
 use otis_lightwave::designs::{ImaseItohDesign, KautzDesign, PopsDesign, StackKautzDesign};
 use otis_lightwave::graphs::algorithms::diameter;
-use otis_lightwave::routing::{PopsRouter, StackRouter};
-use otis_lightwave::sim::{ArbitrationPolicy, MultiOpsSim, MultiOpsSimConfig, TrafficPattern};
+use otis_lightwave::graphs::StackGraph;
+use otis_lightwave::routing::{FaultSet, PopsRouter, StackRouter};
+use otis_lightwave::sim::{
+    ArbitrationPolicy, DemandSource, PreparedMultiOps, SimMetrics, SimOptions, SlotScratch,
+    TrafficPattern,
+};
 use otis_lightwave::topologies::{kautz, kautz_node_count, Pops, StackKautz};
+use std::sync::Arc;
+
+/// Prepares the multi-OPS kernel of an intact stack-graph and runs one
+/// stationary pattern through it.
+fn simulate_stack(stack: &StackGraph, traffic: TrafficPattern, options: &SimOptions) -> SimMetrics {
+    PreparedMultiOps::new(Arc::new(stack.clone()), FaultSet::new()).run(
+        &[],
+        &mut DemandSource::from_pattern(traffic),
+        options,
+        &mut SlotScratch::new(),
+    )
+}
 
 /// The paper's headline pipeline: build SK(6,3,2) as a graph, build its
 /// optical design, verify the design against the graph, route on it, and
@@ -39,14 +55,11 @@ fn stack_kautz_full_pipeline() {
     assert!(worst <= 2);
 
     // Simulation layer: traffic flows and is conserved.
-    let metrics = MultiOpsSim::new(
-        sk.stack_graph().clone(),
-        MultiOpsSimConfig {
-            slots: 500,
-            ..Default::default()
-        },
-    )
-    .run(&TrafficPattern::Uniform { load: 0.2 });
+    let metrics = simulate_stack(
+        sk.stack_graph(),
+        TrafficPattern::Uniform { load: 0.2 },
+        &SimOptions::new(500, 1),
+    );
     assert!(metrics.delivered > 0);
     assert_eq!(
         metrics.injected,
@@ -119,15 +132,15 @@ fn imase_itoh_design_at_arbitrary_size() {
 fn simulator_never_exceeds_coupler_capacity() {
     let pops = Pops::new(6, 3);
     let slots = 400u64;
-    let metrics = MultiOpsSim::new(
-        pops.stack_graph().clone(),
-        MultiOpsSimConfig {
+    let metrics = simulate_stack(
+        pops.stack_graph(),
+        TrafficPattern::Uniform { load: 1.0 },
+        &SimOptions {
             slots,
             policy: ArbitrationPolicy::RoundRobin,
             ..Default::default()
         },
-    )
-    .run(&TrafficPattern::Uniform { load: 1.0 });
+    );
     assert!(metrics.grants <= slots * pops.coupler_count() as u64);
     assert!(metrics.channel_utilization() <= 1.0 + 1e-9);
 }

@@ -19,7 +19,7 @@ use otis_lightwave::net::{
     run_grid, run_grid_streaming, FaultSchedule, FaultSet, JsonLinesSink, Network, NetworkSpec,
     PreparedSim, PreparedTimeline, ScenarioGrid, SimOptions, TableSink,
 };
-use otis_lightwave::sim::TrafficPattern;
+use otis_lightwave::sim::{SlotScratch, TrafficPattern};
 
 /// Extract the inner hot-potato kernel of a prepared simulator.
 fn hot_potato_kernel(prepared: PreparedSim) -> otis_lightwave::sim::PreparedHotPotato {
@@ -56,8 +56,10 @@ fn scheduled_swap_matches_from_scratch_kernel_on_db_2_8() {
 
     let traffic = TrafficPattern::Uniform { load: 0.4 };
     let options = SimOptions::new(200, 7);
-    let repaired = base.run_with_timeline(&timeline, &traffic, &options);
-    let from_scratch = base.run_with_timeline(&scratch, &traffic, &options);
+    let mut pool = SlotScratch::new();
+    let repaired = base.run_with_timeline_scratch(Some(&timeline), &traffic, &options, &mut pool);
+    let from_scratch =
+        base.run_with_timeline_scratch(Some(&scratch), &traffic, &options, &mut pool);
     assert_eq!(
         repaired, from_scratch,
         "delta-repaired swap diverged from the from-scratch kernel"
@@ -92,8 +94,10 @@ fn scheduled_swap_matches_from_scratch_kernel_on_sk_with_alternates() {
 
     let traffic = TrafficPattern::Uniform { load: 0.5 };
     let options = SimOptions::new(300, 11);
-    let repaired = base.run_with_timeline(&timeline, &traffic, &options);
-    let from_scratch = base.run_with_timeline(&scratch, &traffic, &options);
+    let mut pool = SlotScratch::new();
+    let repaired = base.run_with_timeline_scratch(Some(&timeline), &traffic, &options, &mut pool);
+    let from_scratch =
+        base.run_with_timeline_scratch(Some(&scratch), &traffic, &options, &mut pool);
     assert_eq!(
         repaired, from_scratch,
         "delta-repaired swap diverged from the from-scratch kernels"

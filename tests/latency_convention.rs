@@ -9,9 +9,10 @@
 
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::sim::{
-    HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig, TrafficPattern,
+    DemandSource, PreparedHotPotato, PreparedMultiOps, SimOptions, SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{complete_digraph, Pops};
+use std::sync::Arc;
 
 /// Shifted-by-one permutation traffic at full load: deterministic, never
 /// self-addressed, and contention-free on both test networks.
@@ -26,14 +27,13 @@ fn shift_traffic() -> TrafficPattern {
 fn hot_potato_single_hop_costs_one_slot() {
     // K(5): every destination is one hop away and each node forwards at most
     // its own injection, so no deflection can occur.
-    let sim = HotPotatoSim::new(
-        complete_digraph(5),
-        HotPotatoSimConfig {
-            slots: 50,
-            ..Default::default()
-        },
+    let kernel = PreparedHotPotato::new(Arc::new(complete_digraph(5)), FaultSet::new());
+    let m = kernel.run(
+        &[],
+        &mut DemandSource::from_pattern(shift_traffic()),
+        &SimOptions::new(50, 1),
+        &mut SlotScratch::new(),
     );
-    let m = sim.run(&shift_traffic());
     assert_eq!(m.injected, 5 * 50);
     assert_eq!(m.delivered, m.injected, "all single-hop traffic delivered");
     assert_eq!(m.in_flight, 0);
@@ -49,14 +49,13 @@ fn multi_ops_single_hop_costs_one_slot() {
     // POPS(1,4): four groups of one processor, so processor i's messages to
     // i+1 are alone on coupler (i, i+1) — no arbitration losses ever.
     let pops = Pops::new(1, 4);
-    let sim = MultiOpsSim::new(
-        pops.stack_graph().clone(),
-        MultiOpsSimConfig {
-            slots: 50,
-            ..Default::default()
-        },
+    let kernel = PreparedMultiOps::new(Arc::new(pops.stack_graph().clone()), FaultSet::new());
+    let m = kernel.run(
+        &[],
+        &mut DemandSource::from_pattern(shift_traffic()),
+        &SimOptions::new(50, 1),
+        &mut SlotScratch::new(),
     );
-    let m = sim.run(&shift_traffic());
     assert_eq!(m.injected, 4 * 50);
     assert_eq!(m.delivered, m.injected, "all single-hop traffic delivered");
     assert_eq!(m.in_flight, 0);
@@ -72,15 +71,13 @@ fn conventions_agree_under_faults_too() {
     // routing around a fault must not change the clock convention.
     let mut faults = FaultSet::new();
     faults.fail_arc(2, 0); // unused by the shifted permutation
-    let hot = HotPotatoSim::with_faults(
-        complete_digraph(5),
-        HotPotatoSimConfig {
-            slots: 30,
-            ..Default::default()
-        },
-        faults,
+    let hot = PreparedHotPotato::new(Arc::new(complete_digraph(5)), faults);
+    let m = hot.run(
+        &[],
+        &mut DemandSource::from_pattern(shift_traffic()),
+        &SimOptions::new(30, 1),
+        &mut SlotScratch::new(),
     );
-    let m = hot.run(&shift_traffic());
     assert_eq!(m.delivered, m.injected);
     assert!((m.average_latency() - 1.0).abs() < 1e-12);
 }

@@ -8,13 +8,14 @@
 
 use otis_lightwave::net::{
     run_grid, run_grid_streaming, CollectSink, FaultSet, Network, NetworkSpec, ScenarioGrid,
-    SimOptions, TrafficSpec,
+    SimOptions, TrafficSpec, WavelengthConfig,
 };
 use otis_lightwave::routing::node_fault_patterns_up_to;
 use otis_lightwave::sim::{
-    HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig, SimMetrics,
+    DemandSource, PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
+use std::sync::Arc;
 
 /// The old per-cell behaviour, reproduced by hand: build the simulator —
 /// graph copy, routing tables, everything — from scratch for one cell.
@@ -29,30 +30,19 @@ fn fresh_cell_metrics(
         .unwrap()
         .into_pattern()
         .expect("these cells sweep stationary workloads only");
+    let mut demand = DemandSource::from_pattern(pattern.clone());
+    let mut scratch = SlotScratch::new();
     match *spec {
-        NetworkSpec::DeBruijn { d, k } => HotPotatoSim::with_faults(
-            de_bruijn(d, k),
-            HotPotatoSimConfig {
-                slots: options.slots,
-                seed: options.seed,
-                max_hops: options.max_hops,
-                wavelengths: options.wavelengths,
-            },
+        NetworkSpec::DeBruijn { d, k } => PreparedHotPotato::new(
+            Arc::new(de_bruijn(d, k)),
             options.faults.clone(),
         )
-        .run(&pattern),
-        NetworkSpec::StackKautz { s, d, k } => MultiOpsSim::with_faults(
-            StackKautz::new(s, d, k).stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: options.slots,
-                seed: options.seed,
-                policy: options.policy,
-                queue_limit: options.queue_limit,
-                wavelengths: options.wavelengths,
-            },
+        .run(&[], &mut demand, options, &mut scratch),
+        NetworkSpec::StackKautz { s, d, k } => PreparedMultiOps::new(
+            Arc::new(StackKautz::new(s, d, k).stack_graph().clone()),
             options.faults.clone(),
         )
-        .run(&pattern),
+        .run(&[], &mut demand, options, &mut scratch),
         _ => network.simulate(&pattern, options),
     }
 }
@@ -143,9 +133,11 @@ fn facade_simulate_is_prepare_then_run() {
             let options = SimOptions::new(200, 9).with_faults(faults.clone());
             let kernel = network.prepare(&faults);
             let direct = network.simulate_uniform(0.3, &options);
-            let via_kernel = kernel.run(
-                &otis_lightwave::sim::TrafficPattern::Uniform { load: 0.3 },
+            let via_kernel = kernel.run_with_timeline_scratch(
+                None,
+                &TrafficPattern::Uniform { load: 0.3 },
                 &options,
+                &mut SlotScratch::new(),
             );
             assert_eq!(direct, via_kernel, "{spec} with faults {faults:?}");
         }
@@ -168,13 +160,45 @@ fn kernel_reuse_across_seed_sweep_matches_run_grid() {
 
     let network = Network::new(spec).unwrap();
     let kernel = network.prepare(&faults);
-    let pattern = otis_lightwave::sim::TrafficPattern::Uniform { load: 0.5 };
+    let pattern = TrafficPattern::Uniform { load: 0.5 };
+    let mut scratch = SlotScratch::new();
     for (row, &seed) in rows.iter().zip(&seeds) {
         let options = SimOptions {
             seed,
             faults: faults.clone(),
             ..grid.options.clone()
         };
-        assert_eq!(row.metrics, kernel.run(&pattern, &options), "seed {seed}");
+        let metrics = kernel.run_with_timeline_scratch(None, &pattern, &options, &mut scratch);
+        assert_eq!(row.metrics, metrics, "seed {seed}");
+    }
+}
+
+#[test]
+fn run_ignores_the_prepare_time_options() {
+    // The kernel-reuse contract the engine's cache relies on: `faults` and
+    // `alt_paths` are fixed when a kernel is prepared, so two runs of one
+    // kernel whose options differ only in those two fields return identical
+    // metrics — both simulator families, in both wavelength modes.
+    let traffic = TrafficPattern::Uniform { load: 0.6 };
+    for spec in ["DB(2,4)", "SK(2,2,2)"] {
+        let network = Network::from_spec(spec).unwrap();
+        let faults = FaultSet::from_nodes([1]);
+        let kernel = network.prepare_with_alternates(&faults, 2);
+        for count in [1, 2] {
+            let prepared_with = SimOptions {
+                alt_paths: 2,
+                wavelengths: WavelengthConfig::with_count(count),
+                ..SimOptions::new(200, 5).with_faults(faults.clone())
+            };
+            let other = SimOptions {
+                faults: FaultSet::from_nodes([0, 3]),
+                alt_paths: 4,
+                ..prepared_with.clone()
+            };
+            let mut scratch = SlotScratch::new();
+            let a = kernel.run_with_timeline_scratch(None, &traffic, &prepared_with, &mut scratch);
+            let b = kernel.run_with_timeline_scratch(None, &traffic, &other, &mut scratch);
+            assert_eq!(a, b, "{spec} at W = {count}");
+        }
     }
 }
