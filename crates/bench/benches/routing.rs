@@ -1,8 +1,9 @@
-//! Routing cost: label routing, arithmetic routing, table construction,
-//! stack-graph routing (experiment T4 substrate).
+//! Routing cost: label routing, arithmetic routing, table construction
+//! (next-hop and distance-only), stack-graph routing (experiment T4
+//! substrate).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use otis_routing::{imase_itoh_route, kautz_route, RoutingTable, StackRouter};
+use otis_routing::{imase_itoh_route, kautz_route, DistanceTable, RoutingTable, StackRouter};
 use otis_topologies::{kautz, kautz_node_count, StackKautz};
 use std::time::Duration;
 
@@ -38,6 +39,9 @@ fn bench_routing(c: &mut Criterion) {
     let g = kautz(3, 3);
     group.bench_function("routing_table_kautz_3_3", |b| {
         b.iter(|| RoutingTable::new(&g))
+    });
+    group.bench_function("distance_table_new_kautz_3_3", |b| {
+        b.iter(|| DistanceTable::new(&g))
     });
 
     let sk = StackKautz::new(4, 3, 2);

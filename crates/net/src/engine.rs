@@ -60,8 +60,13 @@
 //! rules out eviction), so the cache's memory is O(specs × fault_sets)
 //! kernels on top of the engine's O(threads + window) row buffering — the
 //! trade-off is deliberate: fault axes are combinatorial in *patterns*, but
-//! each kernel is only a routing table, and rebuilding one mid-run would
-//! cost far more than holding it.
+//! each kernel is only its routing state, and rebuilding one mid-run would
+//! cost far more than holding it.  A point-to-point (deflection) kernel is
+//! one distance-only table of one byte per processor pair — about 4 MiB at
+//! n = 2,048 — so a DB(2,11) sweep with six fault patterns holds seven
+//! such tables.  Networks too large for that table (more than
+//! [`DistanceTable::MAX_NODES`] processors) are refused up front with
+//! [`NetworkError::KernelTooLarge`].
 //!
 //! ## Fault schedules and mid-run kernel swaps
 //!
@@ -102,7 +107,7 @@ use crate::scenarios::fmt_stat;
 use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use crate::traffic_spec::TrafficSpec;
-use otis_routing::FaultSet;
+use otis_routing::{DistanceTable, FaultSet};
 use otis_sim::{DemandSpec, FaultSchedule, SimMetrics, SimOptions, SlotScratch, WavelengthConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -599,7 +604,9 @@ pub struct StreamSummary {
 /// unbindable combination (transpose traffic on a non-square network, a
 /// hotspot aimed at a node that does not exist) is a typed error for the
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
-/// overflows `usize` is refused with [`NetworkError::GridTooLarge`].
+/// overflows `usize` is refused with [`NetworkError::GridTooLarge`], and a
+/// point-to-point network too large for its deflection kernel with
+/// [`NetworkError::KernelTooLarge`].
 ///
 /// The delivered row sequence is independent of the thread count: cells are
 /// self-contained (own RNG seed, own simulator instance) and workers hand
@@ -630,6 +637,19 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         .iter()
         .map(|&spec| Network::new(spec))
         .collect::<Result<_, _>>()?;
+    // A deflection kernel holds one all-pairs distance table, which cannot
+    // store more than `DistanceTable::MAX_NODES` processors: refuse such a
+    // network here rather than abort inside a worker.
+    if let Some(network) = networks
+        .iter()
+        .find(|network| !network.is_multi_ops() && network.node_count() > DistanceTable::MAX_NODES)
+    {
+        return Err(NetworkError::KernelTooLarge {
+            network: network.name(),
+            nodes: network.node_count(),
+            limit: DistanceTable::MAX_NODES,
+        });
+    }
 
     // Bind every non-empty schedule against every (spec, fault-pattern)
     // pair up front: an out-of-range event target or an overlap with a
@@ -696,7 +716,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // finishes, then share the kernel).  Only the per-spec fault-free *base*
     // is built from scratch (`kernels_built`); every faulted slot is
     // delta-repaired from its spec's base (`kernels_repaired`), and
-    // empty-fault slots share the base outright.
+    // empty-fault cells run on the base itself, leaving their slot empty.
     let kernels: Vec<OnceLock<PreparedSim>> = (0..grid.specs.len() * grid.fault_sets.len())
         .map(|_| OnceLock::new())
         .collect();
@@ -772,25 +792,25 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     let cell = grid.cell_at(index);
                     // Look the cell's prepared kernel up in the shared
                     // cache, materialising it on first use: the spec's
-                    // fault-free base is the only from-scratch build, and
-                    // every faulted kernel is delta-repaired from it.
-                    let kernel = kernels[cell.spec * grid.fault_sets.len() + cell.fault_set]
-                        .get_or_init(|| {
-                            let base = bases[cell.spec].get_or_init(|| {
-                                kernels_built.fetch_add(1, Ordering::Relaxed);
-                                networks[cell.spec].prepare_with_alternates(
-                                    &FaultSet::new(),
-                                    grid.options.alt_paths,
-                                )
-                            });
-                            let faults = &grid.fault_sets[cell.fault_set];
-                            if faults.is_empty() {
-                                base.clone()
-                            } else {
+                    // fault-free base is the only from-scratch build, an
+                    // empty fault set runs on the base itself, and every
+                    // faulted kernel is delta-repaired from it.
+                    let base = bases[cell.spec].get_or_init(|| {
+                        kernels_built.fetch_add(1, Ordering::Relaxed);
+                        networks[cell.spec]
+                            .prepare_with_alternates(&FaultSet::new(), grid.options.alt_paths)
+                    });
+                    let faults = &grid.fault_sets[cell.fault_set];
+                    let kernel = if faults.is_empty() {
+                        base
+                    } else {
+                        kernels[cell.spec * grid.fault_sets.len() + cell.fault_set].get_or_init(
+                            || {
                                 kernels_repaired.fetch_add(1, Ordering::Relaxed);
                                 base.repair(faults, grid.options.alt_paths)
-                            }
-                        });
+                            },
+                        )
+                    };
                     // A non-empty schedule additionally needs its timeline
                     // of swap kernels — one cached preparation per
                     // (spec, fault-pattern, schedule) triple.  Empty
@@ -802,12 +822,6 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                             * grid.fault_schedules.len()
                             + cell.schedule;
                         timelines[slot].get_or_init(|| {
-                            // The base was materialised by the kernel
-                            // lookup above (every kernel slot fills its
-                            // spec's base first).
-                            let base = bases[cell.spec]
-                                .get()
-                                .expect("the kernel cache fills the base first");
                             let timeline = PreparedSim::timeline(
                                 base,
                                 kernel,
@@ -1477,6 +1491,28 @@ mod tests {
             .slots(50);
         let err = run_grid(&grid, 2).unwrap_err();
         assert!(matches!(err, NetworkError::Schedule(_)), "{err}");
+    }
+
+    #[test]
+    fn oversized_deflection_kernels_are_a_typed_error_before_any_cell_runs() {
+        // DB(2,16) has 65,536 processors, one more than a distance table
+        // stores.  The engine refuses it at bind time: building the table
+        // would panic inside a worker instead.
+        let grid = ScenarioGrid::new(vec!["DB(2,16)".parse().unwrap()])
+            .loads(&[0.3])
+            .slots(8);
+        let err = run_grid(&grid, 2).unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::KernelTooLarge {
+                network: "DB(2,16)".into(),
+                nodes: 65_536,
+                limit: DistanceTable::MAX_NODES,
+            }
+        );
+        let mut sink = RecordingSink::default();
+        run_grid_streaming(&grid, 2, &mut sink).unwrap_err();
+        assert_eq!(sink.started, 0);
     }
 
     #[test]

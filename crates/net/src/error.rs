@@ -133,6 +133,18 @@ pub enum NetworkError {
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
     Schedule(otis_sim::FaultScheduleError),
+    /// A point-to-point network has more processors than its deflection
+    /// kernel's all-pairs distance table can store
+    /// (`otis_routing::DistanceTable::MAX_NODES`).  The scenario engine
+    /// reports this before any cell runs.
+    KernelTooLarge {
+        /// The network's name.
+        network: String,
+        /// Its processor count.
+        nodes: usize,
+        /// The largest processor count a deflection kernel supports.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -163,6 +175,15 @@ impl fmt::Display for NetworkError {
                 )
             }
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
+            NetworkError::KernelTooLarge {
+                network,
+                nodes,
+                limit,
+            } => write!(
+                f,
+                "{network} has {nodes} processors, too many to simulate: a deflection \
+                 kernel's distance table holds at most {limit}"
+            ),
         }
     }
 }
@@ -176,6 +197,7 @@ impl std::error::Error for NetworkError {
             NetworkError::Structure { .. } => None,
             NetworkError::Sink { .. } => None,
             NetworkError::GridTooLarge { .. } => None,
+            NetworkError::KernelTooLarge { .. } => None,
             NetworkError::Schedule(e) => Some(e),
         }
     }
@@ -251,5 +273,13 @@ mod tests {
         .into();
         assert!(sched.to_string().contains("fault schedule"), "{sched}");
         assert!(sched.to_string().contains('9'), "{sched}");
+        let kernel = NetworkError::KernelTooLarge {
+            network: "DB(2,16)".into(),
+            nodes: 65_536,
+            limit: 65_535,
+        };
+        assert!(kernel.to_string().contains("DB(2,16)"), "{kernel}");
+        assert!(kernel.to_string().contains("65536"), "{kernel}");
+        assert!(kernel.to_string().contains("65535"), "{kernel}");
     }
 }

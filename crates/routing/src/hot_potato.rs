@@ -6,10 +6,12 @@
 //! incoming message must leave on *some* output link, preferably one on a
 //! shortest path to its destination, otherwise it is *deflected* onto any
 //! free link.  This module provides the per-node decision procedure; the
-//! slotted simulator drives it.
+//! slotted simulator drives it.  The decision only compares distances, so
+//! the router's one piece of routing state is a distance-only
+//! [`DistanceTable`] (one byte per pair) — no next hops are stored.
 
+use crate::distance::DistanceTable;
 use crate::fault_tolerant::{surviving_subgraph, FaultSet};
-use crate::table::RoutingTable;
 use otis_graphs::{Digraph, NodeId};
 use rand::Rng;
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct HotPotatoRouter {
     graph: Arc<Digraph>,
-    table: RoutingTable,
+    table: DistanceTable,
 }
 
 impl HotPotatoRouter {
@@ -35,7 +37,7 @@ impl HotPotatoRouter {
     /// digraph without copying any arc data — only the distance table is
     /// computed.  This is the constructor prepared simulation kernels use.
     pub fn from_shared(graph: Arc<Digraph>) -> Self {
-        let table = RoutingTable::new(&graph);
+        let table = DistanceTable::new(&graph);
         HotPotatoRouter { graph, table }
     }
 
@@ -46,10 +48,10 @@ impl HotPotatoRouter {
     /// `base` is the fault-free router (its graph is the intact network);
     /// the result is identical to
     /// `HotPotatoRouter::new(surviving_subgraph(base.graph(), faults))` —
-    /// see [`RoutingTable::repaired`] for why the shortcut is exact.
+    /// see [`DistanceTable::repaired`] for why the shortcut is exact.
     pub fn from_repair(base: &HotPotatoRouter, faults: &FaultSet) -> Self {
         let survivor = Arc::new(surviving_subgraph(&base.graph, faults));
-        let table = base.table.repaired(&survivor, faults).table;
+        let table = base.table.repaired(&survivor, faults);
         HotPotatoRouter {
             graph: survivor,
             table,
@@ -66,7 +68,7 @@ impl HotPotatoRouter {
     /// decisions go through [`HotPotatoRouter::distance`] and the port
     /// rankers, not the raw table.
     #[doc(hidden)]
-    pub fn table(&self) -> &RoutingTable {
+    pub fn table(&self) -> &DistanceTable {
         &self.table
     }
 

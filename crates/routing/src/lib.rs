@@ -26,12 +26,15 @@
 //! * [`hot_potato`] — the deflection-routing baseline used for the
 //!   single-OPS comparison (Zhang & Acampora style hot-potato);
 //! * [`table`] — generic next-hop routing tables computed from any digraph,
-//!   used as the reference the specialised routers are checked against.
+//!   used as the reference the specialised routers are checked against;
+//! * [`distance`] — distance-only all-pairs tables, one byte per pair, the
+//!   lookup behind the deflection router.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(clippy::all)]
 
+pub mod distance;
 pub mod fault_tolerant;
 pub mod hot_potato;
 pub mod imase_itoh;
@@ -40,6 +43,7 @@ pub mod pops;
 pub mod stack;
 pub mod table;
 
+pub use distance::DistanceTable;
 pub use fault_tolerant::{
     fault_tolerant_route, node_fault_patterns, node_fault_patterns_iter, node_fault_patterns_up_to,
     node_fault_patterns_up_to_iter, surviving_subgraph, FaultSet, NodeFaultPatterns,

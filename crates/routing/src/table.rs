@@ -1,12 +1,14 @@
 //! Generic next-hop routing tables.
 //!
 //! A [`RoutingTable`] holds, for every (current node, destination) pair, the
-//! next node to forward to along one shortest path.  It is computed by a
-//! reverse BFS from every destination, works for any strongly connected
-//! digraph, and serves two purposes in the reproduction: it is the reference
-//! against which the specialised label/arithmetic routers are validated, and
-//! it is the routing oracle handed to the slotted simulator for topologies
-//! that have no label structure (meshes, hypercubes, …).
+//! next node to forward to along one shortest path, plus its distance.  It
+//! is computed by a reverse BFS from every destination, works for any
+//! strongly connected digraph, and serves the callers that really route:
+//! it is the reference against which the specialised label/arithmetic
+//! routers are validated, the route oracle of the point-to-point families
+//! without label routing (de Bruijn, complete digraphs), and the quotient
+//! table of [`crate::StackRouter`].  The deflection simulator only compares
+//! distances, so it uses the much smaller [`crate::DistanceTable`] instead.
 
 use crate::fault_tolerant::FaultSet;
 use otis_graphs::algorithms::bfs::UNREACHABLE;

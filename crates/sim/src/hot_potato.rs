@@ -12,11 +12,13 @@
 //!
 //! * [`PreparedHotPotato`] is the immutable kernel — the fault-filtered
 //!   digraph (already a flat CSR port layout) plus the deflection router's
-//!   all-pairs distance table, built once per `(graph, fault-pattern)` pair.
-//!   A fault pattern's kernel can also be *delta-repaired* from the
-//!   fault-free base ([`PreparedHotPotato::repair_from`]): only the distance
-//!   columns the faults actually touch are recomputed, and the result is
-//!   bit-identical to building from scratch;
+//!   one-byte distance-only table ([`otis_routing::DistanceTable`]: no next
+//!   hops, 4 MiB at 2,048 processors, shared between clones), built once
+//!   per `(graph, fault-pattern)` pair.  A fault pattern's kernel can also
+//!   be *delta-repaired* from the fault-free base
+//!   ([`PreparedHotPotato::repair_from`]): only the distance columns the
+//!   faults actually touch are recomputed, and the result is identical to
+//!   building from scratch;
 //! * [`PreparedHotPotato::run`] — the kernel's one run entry point — owns
 //!   only per-run mutable state (in a caller-owned
 //!   [`crate::kernel::SlotScratch`]) and drives the shared
@@ -48,10 +50,10 @@ use std::sync::Arc;
 /// The immutable, shareable kernel of the hot-potato simulator: the
 /// fault-filtered digraph (a flat CSR port layout — out-neighbours of a node
 /// are one contiguous slice, indexed by port) together with the deflection
-/// router's all-pairs distance table.  Building one is the expensive part of
-/// a simulation (`O(n·(n + m))` for the table); [`PreparedHotPotato::run`]
-/// is the cheap part and can be called any number of times with different
-/// seeds, traffic patterns and slot counts.
+/// router's one-byte distance-only table.  Building one is the expensive
+/// part of a simulation (`O(n·(n + m))` for the table);
+/// [`PreparedHotPotato::run`] is the cheap part and can be called any number
+/// of times with different seeds, traffic patterns and slot counts.
 ///
 /// The kernel is `Send + Sync`, so a scenario engine can build it once per
 /// distinct `(graph, fault-pattern)` pair and share it across worker

@@ -40,10 +40,13 @@
 //! cheap **run**:
 //!
 //! * [`PreparedHotPotato`] / [`PreparedMultiOps`] hold the expensive,
-//!   run-independent state — the fault-filtered graph, the routing/distance
-//!   tables and (for multi-OPS) a flat CSR-style table of every
-//!   source/destination route — built once per `(network, fault-pattern)`
-//!   pair and shareable across threads (`Send + Sync`);
+//!   run-independent state — the fault-filtered graph plus, for
+//!   hot-potato kernels, a distance-only table of one byte per processor
+//!   pair ([`otis_routing::DistanceTable`], 4 MiB at 2,048 processors,
+//!   shared between clones), or for multi-OPS kernels the quotient routing
+//!   table and a flat CSR-style table of every source/destination route —
+//!   built once per `(network, fault-pattern)` pair and shareable across
+//!   threads (`Send + Sync`);
 //! * each kernel has exactly one run entry point,
 //!   `run(timeline, demand, options, scratch)`
 //!   ([`PreparedHotPotato::run`], [`PreparedMultiOps::run`]): an optional
