@@ -16,8 +16,8 @@
 //!    independent of thread count).
 
 use otis_lightwave::net::{
-    run_grid, run_grid_streaming, FaultSchedule, FaultSet, JsonLinesSink, Network, NetworkSpec,
-    PreparedSim, PreparedTimeline, ScenarioGrid, SimOptions, TableSink,
+    run_grid, run_grid_streaming, CsvSink, FaultSchedule, FaultSet, JsonLinesSink, Network,
+    NetworkSpec, PreparedSim, PreparedTimeline, ScenarioGrid, SimOptions, TableSink,
 };
 use otis_lightwave::sim::{SlotScratch, TrafficPattern};
 
@@ -137,6 +137,58 @@ fn static_schedule_grids_stream_bytes_identical_to_the_seed_goldens() {
             String::from_utf8(table.into_inner()).unwrap(),
             include_str!("golden/grid_small.table"),
             "table output drifted from the seed golden at {threads} threads"
+        );
+    }
+}
+
+/// The exact grid the restoration-tier golden files were generated from:
+/// `scenarios --specs "SK(2,2,2),DB(2,4)" --loads 0.0,0.3 --seeds 7
+/// --slots 80 --fault-schedule "none,fail(node 1)@10;recover@40"
+/// --wavelengths 1,2 --alt-paths 2`.  It covers static `none` rows,
+/// zero-delivery sentinels and a never-restored scheduled SK cell.
+fn restoration_golden_grid() -> ScenarioGrid {
+    let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "DB(2,4)"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let schedules: Vec<FaultSchedule> = ["none", "fail(node 1)@10;recover@40"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    ScenarioGrid::new(specs)
+        .loads(&[0.0, 0.3])
+        .seeds(&[7])
+        .slots(80)
+        .fault_schedules(schedules)
+        .wavelengths(&[1, 2])
+        .alt_paths(2)
+}
+
+#[test]
+fn restoration_tier_grids_stream_bytes_identical_to_the_goldens() {
+    let grid = restoration_golden_grid();
+    assert!(grid.fault_schedule_enabled());
+    for threads in [1, 2, 8] {
+        let mut table = TableSink::new(Vec::new());
+        run_grid_streaming(&grid, threads, &mut table).unwrap();
+        assert_eq!(
+            String::from_utf8(table.into_inner()).unwrap(),
+            include_str!("golden/grid_restoration.table"),
+            "restoration table output drifted from the golden at {threads} threads"
+        );
+        let mut csv = CsvSink::new(Vec::new());
+        run_grid_streaming(&grid, threads, &mut csv).unwrap();
+        assert_eq!(
+            String::from_utf8(csv.into_inner()).unwrap(),
+            include_str!("golden/grid_restoration.csv"),
+            "restoration CSV output drifted from the golden at {threads} threads"
+        );
+        let mut jsonl = JsonLinesSink::new(Vec::new());
+        run_grid_streaming(&grid, threads, &mut jsonl).unwrap();
+        assert_eq!(
+            String::from_utf8(jsonl.into_inner()).unwrap(),
+            include_str!("golden/grid_restoration.jsonl"),
+            "restoration JSONL output drifted from the golden at {threads} threads"
         );
     }
 }

@@ -65,6 +65,61 @@ fn capacity_one_grids_stream_bytes_identical_to_the_seed_goldens() {
     }
 }
 
+/// Streams `grid` through all three sinks at `threads` workers and returns
+/// the table, CSV and JSONL bytes.
+fn render_all_formats(grid: &ScenarioGrid, threads: usize) -> [String; 3] {
+    let mut table = TableSink::new(Vec::new());
+    run_grid_streaming(grid, threads, &mut table).unwrap();
+    let mut csv = CsvSink::new(Vec::new());
+    run_grid_streaming(grid, threads, &mut csv).unwrap();
+    let mut jsonl = JsonLinesSink::new(Vec::new());
+    run_grid_streaming(grid, threads, &mut jsonl).unwrap();
+    [table.into_inner(), csv.into_inner(), jsonl.into_inner()]
+        .map(|bytes| String::from_utf8(bytes).unwrap())
+}
+
+/// The exact grid the extended-tier golden files were generated from:
+/// `scenarios --specs "SK(2,2,2),DB(2,3)" --loads 0.0,0.6 --seeds 7
+/// --slots 120 --wavelengths 1,2 --alt-paths 2`.  It covers a hot-potato
+/// cell with the layer off (`wavel 0`), zero-delivery sentinels and a
+/// defined `cost_bit`.
+fn extended_golden_grid() -> ScenarioGrid {
+    let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "DB(2,3)"]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+    ScenarioGrid::new(specs)
+        .loads(&[0.0, 0.6])
+        .seeds(&[7])
+        .slots(120)
+        .wavelengths(&[1, 2])
+        .alt_paths(2)
+}
+
+#[test]
+fn extended_tier_grids_stream_bytes_identical_to_the_goldens() {
+    let grid = extended_golden_grid();
+    assert!(grid.wavelength_layer_enabled());
+    assert!(!grid.fault_schedule_enabled());
+    let goldens = [
+        include_str!("golden/grid_extended.table"),
+        include_str!("golden/grid_extended.csv"),
+        include_str!("golden/grid_extended.jsonl"),
+    ];
+    for threads in [1, 2, 8] {
+        let rendered = render_all_formats(&grid, threads);
+        for (format, (output, golden)) in ["table", "CSV", "JSONL"]
+            .iter()
+            .zip(rendered.iter().zip(goldens))
+        {
+            assert_eq!(
+                output, golden,
+                "extended {format} output drifted from the golden at {threads} threads"
+            );
+        }
+    }
+}
+
 /// Aggregate blocking ratio of the rows whose cells ran at `wavelengths`.
 fn blocking_ratio_at(rows: &[ScenarioRow], wavelengths: usize) -> f64 {
     let (blocked, injected) = rows
