@@ -17,7 +17,7 @@ use otis_graphs::algorithms::{is_eulerian, is_hamiltonian};
 use otis_graphs::{are_isomorphic, line_digraph, StackGraph};
 use otis_net::{
     compare_specs, default_thread_count, run_grid, run_grid_streaming, ComparisonRow, Network,
-    NetworkSpec, ScenarioGrid, ScenarioRow, TableSink, TrafficSpec,
+    NetworkSpec, ScenarioGrid, TableSink, Tier, TrafficSpec,
 };
 use otis_optics::components::ComponentKind;
 use otis_optics::electrical::InterconnectModel;
@@ -913,9 +913,9 @@ fn table_sim() -> String {
         d - 1
     )
     .unwrap();
-    writeln!(out, "{}", ScenarioRow::table_header()).unwrap();
+    writeln!(out, "{}", Tier::Legacy.table_header()).unwrap();
     for row in &rows {
-        writeln!(out, "{}", row.as_table_row()).unwrap();
+        writeln!(out, "{}", Tier::Legacy.table_row(row)).unwrap();
     }
     let worst = rows.iter().map(|r| r.metrics.max_hops).max().unwrap_or(0);
     let all_delivering = rows.iter().all(|r| r.metrics.delivered > 0);

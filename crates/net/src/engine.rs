@@ -103,7 +103,6 @@
 use crate::error::NetworkError;
 use crate::network::Network;
 use crate::prepared::{PreparedSim, PreparedTimeline};
-use crate::scenarios::fmt_stat;
 use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use crate::traffic_spec::TrafficSpec;
@@ -393,43 +392,6 @@ pub struct ScenarioRow {
 }
 
 impl ScenarioRow {
-    /// Formats the row for the `scenarios` CLI and the reproduction harness.
-    /// Undefined averages (zero deliveries) render as `-`.
-    pub fn as_table_row(&self) -> String {
-        format!(
-            "{:<16} {:<20} {:>6} {} {:>6} {:>6} {:>10.4} {} {} {:>8} {:>8}",
-            self.spec.to_string(),
-            self.traffic.to_string(),
-            self.metrics.processors,
-            fmt_stat(self.offered_load, 8, 3),
-            self.seed,
-            self.fault_count,
-            self.metrics.throughput(),
-            fmt_stat(self.metrics.average_latency(), 10, 2),
-            fmt_stat(self.metrics.average_hops(), 8, 2),
-            self.metrics.max_hops,
-            self.metrics.delivered,
-        )
-    }
-
-    /// Header matching [`ScenarioRow::as_table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<16} {:<20} {:>6} {:>8} {:>6} {:>6} {:>10} {:>10} {:>8} {:>8} {:>8}",
-            "network",
-            "traffic",
-            "procs",
-            "load",
-            "seed",
-            "faults",
-            "thruput",
-            "latency",
-            "hops",
-            "maxhops",
-            "delivrd"
-        )
-    }
-
     /// The hardware cost divided by the delivered message count — the
     /// cost-per-delivered-bit composite of the blocking-ratio studies (one
     /// message stands in for one bit; scaling by a payload size multiplies
@@ -440,82 +402,6 @@ impl ScenarioRow {
             Some(cost) if self.metrics.delivered > 0 => cost as f64 / self.metrics.delivered as f64,
             _ => f64::NAN,
         }
-    }
-
-    /// [`ScenarioRow::as_table_row`] plus the wavelength-layer columns:
-    /// wavelength count, blocked packets, blocking ratio, wavelength
-    /// utilization, alternate-route rate and cost per delivered bit.
-    /// Undefined statistics render as `-`.
-    pub fn as_table_row_extended(&self) -> String {
-        format!(
-            "{} {:>6} {:>8} {} {} {} {}",
-            self.as_table_row(),
-            self.metrics.wavelengths,
-            self.metrics.blocked,
-            fmt_stat(self.metrics.blocking_ratio(), 9, 4),
-            fmt_stat(self.metrics.wavelength_utilization(), 8, 4),
-            fmt_stat(self.metrics.alt_route_rate(), 8, 4),
-            fmt_stat(self.cost_per_delivered_bit(), 9, 4),
-        )
-    }
-
-    /// Header matching [`ScenarioRow::as_table_row_extended`].
-    pub fn table_header_extended() -> String {
-        format!(
-            "{} {:>6} {:>8} {:>9} {:>8} {:>8} {:>9}",
-            Self::table_header(),
-            "wavel",
-            "blocked",
-            "blkratio",
-            "wl_util",
-            "alt_rate",
-            "cost_bit",
-        )
-    }
-
-    /// [`ScenarioRow::as_table_row_extended`] plus the restoration columns:
-    /// fault events, messages in flight at the first failure, messages
-    /// stranded by failures, slots until the delivery rate recovered, the
-    /// post-failure latency peak, and (last, variable-width) the schedule
-    /// itself.  Restoration statistics are undefined on cells where no
-    /// kernel swap happened and render as `-`.
-    pub fn as_table_row_restoration(&self) -> String {
-        let restoration = |value: u64| {
-            if self.metrics.fault_events == 0 {
-                f64::NAN
-            } else {
-                value as f64
-            }
-        };
-        let restore_slots = if self.metrics.restore_slots == u64::MAX {
-            f64::NAN
-        } else {
-            restoration(self.metrics.restore_slots)
-        };
-        format!(
-            "{} {:>7} {} {} {} {} {}",
-            self.as_table_row_extended(),
-            self.metrics.fault_events,
-            fmt_stat(restoration(self.metrics.in_flight_at_failure), 8, 0),
-            fmt_stat(restoration(self.metrics.dropped_by_failure), 8, 0),
-            fmt_stat(restore_slots, 8, 0),
-            fmt_stat(restoration(self.metrics.post_failure_latency_peak), 8, 0),
-            self.fault_schedule,
-        )
-    }
-
-    /// Header matching [`ScenarioRow::as_table_row_restoration`].
-    pub fn table_header_restoration() -> String {
-        format!(
-            "{} {:>7} {:>8} {:>8} {:>8} {:>8} {}",
-            Self::table_header_extended(),
-            "fevents",
-            "inflight",
-            "faildrop",
-            "restore",
-            "peak_lat",
-            "schedule",
-        )
     }
 }
 
@@ -1010,6 +896,7 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::Tier;
     use otis_routing::node_fault_patterns_up_to;
     use std::io;
 
@@ -1223,8 +1110,10 @@ mod tests {
             assert_eq!(summary.rows, grid.cell_count());
             let streamed = sink.into_rows();
             assert_eq!(wrapped, streamed);
-            let wrapped_table: Vec<String> = wrapped.iter().map(|r| r.as_table_row()).collect();
-            let streamed_table: Vec<String> = streamed.iter().map(|r| r.as_table_row()).collect();
+            let wrapped_table: Vec<String> =
+                wrapped.iter().map(|r| Tier::Legacy.table_row(r)).collect();
+            let streamed_table: Vec<String> =
+                streamed.iter().map(|r| Tier::Legacy.table_row(r)).collect();
             assert_eq!(wrapped_table, streamed_table);
         }
     }
@@ -1545,11 +1434,11 @@ mod tests {
             .slots(50);
         let rows = run_grid(&grid, 1).unwrap();
         assert_eq!(rows[0].metrics.delivered, 0);
-        let rendered = rows[0].as_table_row();
+        let rendered = Tier::Legacy.table_row(&rows[0]);
         assert!(!rendered.contains("NaN"), "{rendered}");
         assert!(rendered.contains('-'), "{rendered}");
         assert_eq!(
-            ScenarioRow::table_header().split_whitespace().count(),
+            Tier::Legacy.table_header().split_whitespace().count(),
             rendered.split_whitespace().count()
         );
     }

@@ -133,7 +133,7 @@ pub use scenarios::{
     ComparisonRow, FrontierPoint,
 };
 pub use sink::{
-    CollectSink, CsvSink, FieldValue, JsonLinesSink, OutputFormat, RowSink, TableSink,
+    CollectSink, CsvSink, FieldValue, JsonLinesSink, OutputFormat, RowSink, TableSink, Tier,
     UnknownFormat,
 };
 pub use spec::NetworkSpec;

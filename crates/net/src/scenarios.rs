@@ -12,6 +12,7 @@
 
 use crate::engine::{default_thread_count, run_grid, ScenarioGrid};
 use crate::error::{NetworkError, SpecError};
+use crate::sink::fmt_stat;
 use crate::spec::NetworkSpec;
 use otis_sim::{SimMetrics, SimOptions};
 
@@ -24,16 +25,6 @@ fn uniform_grid(specs: &[NetworkSpec], loads: &[f64], slots: u64, seed: u64) -> 
         .seeds(&[seed]);
     grid.options = SimOptions::new(slots, seed);
     grid
-}
-
-/// Formats a statistic for a fixed-width table column, rendering undefined
-/// values (`NaN`, e.g. an average over zero deliveries) as `-`.
-pub(crate) fn fmt_stat(value: f64, width: usize, precision: usize) -> String {
-    if value.is_nan() {
-        format!("{:>width$}", "-")
-    } else {
-        format!("{value:>width$.precision$}")
-    }
 }
 
 /// One row of the comparison table.

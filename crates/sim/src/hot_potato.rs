@@ -1,6 +1,6 @@
 //! Slotted simulation of point-to-point networks with hot-potato routing.
 //!
-//! This is the single-OPS baseline (Zhang & Acampora, ref [25]): the network
+//! This is the single-OPS baseline (Zhang & Acampora, ref \[25\]): the network
 //! is an ordinary digraph (de Bruijn or Kautz in the comparisons), every arc
 //! carries one message per slot, and nodes never buffer transit traffic — in
 //! each slot all arriving messages must be forwarded immediately, deflected

@@ -25,7 +25,7 @@
 //!   [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`]);
 //!   per-channel *spectrum* masks are the word-wide
 //!   [`otis_graphs::SpectrumMap`];
-//! * [`assign_wavelength`] — the one wavelength-assignment rule (first-fit
+//! * `assign_wavelength` — the one wavelength-assignment rule (first-fit
 //!   or seeded-random) both kernels apply on a multiplexed grant.
 //!
 //! Keeping this state in one place also pins the conventions the

@@ -5,7 +5,7 @@
 //! The paper itself reports no measurements — its evaluation is the optical
 //! constructions — but its motivation rests on companion work comparing
 //! graph (single-OPS, point-to-point) and hypergraph (multi-OPS) topologies
-//! under load (refs [7], [11], [25]).  This crate provides the simulation
+//! under load (refs \[7\], \[11\], \[25\]).  This crate provides the simulation
 //! substrate needed to regenerate that comparison *shape*:
 //!
 //! * time is slotted; an OPS coupler carries one message per slot *per
@@ -18,7 +18,7 @@
 //!   `otis-routing`, and per-coupler [`arbitration`] decides which waiting
 //!   sender wins each slot;
 //! * [`hot_potato`] simulates the single-OPS point-to-point baseline
-//!   (de Bruijn / Kautz with deflection routing, ref [25]);
+//!   (de Bruijn / Kautz with deflection routing, ref \[25\]);
 //! * [`traffic`] generates uniform, permutation, hot-spot, transpose and
 //!   bit-reversal workloads; [`metrics`] aggregates latency, throughput and
 //!   utilisation.  The parseable workload front door (`"hotspot(0.4,0,0.2)"`
@@ -185,7 +185,7 @@ pub use demand::{
 pub use hot_potato::PreparedHotPotato;
 pub use kernel::{MessageArena, PortBits, RunCore, SlotScratch};
 pub use message::Message;
-pub use metrics::{MetricValue, SimMetrics};
+pub use metrics::SimMetrics;
 pub use multi_ops::PreparedMultiOps;
 pub use options::SimOptions;
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};

@@ -1,18 +1,5 @@
 //! Simulation metrics.
 
-/// One field of the stable serialization surface of [`SimMetrics`]: exact
-/// counters stay integers, derived statistics are floats whose undefined
-/// cases (an average over zero deliveries, a ratio over zero injections)
-/// are `NaN`.  Serializers render undefined floats per format — `-` in a
-/// text table, an empty CSV field, a JSON `null` — never the string `"NaN"`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MetricValue {
-    /// An exact counter.
-    Int(u64),
-    /// A derived statistic; `NaN` marks an undefined value.
-    Float(f64),
-}
-
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimMetrics {
@@ -45,7 +32,7 @@ pub struct SimMetrics {
     /// Wavelengths multiplexed per channel during this run, or `0` for a
     /// legacy capacity-1 run where the wavelength layer was off.  The zero
     /// value is the layer flag: every wavelength-derived statistic is `NaN`
-    /// (rendered as an undefined sentinel by the sinks) when it is `0`.
+    /// when it is `0`.
     pub wavelengths: usize,
     /// Messages blocked: every wavelength of the required channel was busy
     /// and no alternate route could absorb the message.  Blocked messages
@@ -58,8 +45,7 @@ pub struct SimMetrics {
     /// Kernel swaps applied by a fault timeline during this run (one per
     /// distinct event slot of the bound `FaultSchedule`).  The zero value is
     /// the timeline flag, exactly like `wavelengths == 0` for the wavelength
-    /// layer: every restoration statistic is undefined (`NaN` to the sinks)
-    /// when it is `0`.
+    /// layer: every restoration statistic is undefined when it is `0`.
     pub fault_events: u64,
     /// Messages in flight at the first overlay-growing swap (the *failure*
     /// the restoration metrics are anchored to), counted before stranding.
@@ -187,107 +173,6 @@ impl SimMetrics {
         }
     }
 
-    /// Number of *core* fields: the schema as it stood before the wavelength
-    /// layer.  The first `CORE_FIELD_COUNT` entries of
-    /// [`SimMetrics::FIELD_NAMES`] / [`SimMetrics::field_values`] are exactly
-    /// the legacy schema, so serializers that must stay byte-identical for
-    /// capacity-1 runs truncate to this length.
-    pub const CORE_FIELD_COUNT: usize = 15;
-
-    /// Number of fields of the *extended* (wavelength-layer) schema tier.
-    /// The first `EXTENDED_FIELD_COUNT` entries of
-    /// [`SimMetrics::FIELD_NAMES`] are exactly the schema as it stood before
-    /// the restoration columns, so serializers that must stay byte-identical
-    /// for schedule-free wavelength runs truncate to this length.
-    pub const EXTENDED_FIELD_COUNT: usize = 21;
-
-    /// Names of the stable machine-readable fields, in the order
-    /// [`SimMetrics::field_values`] emits them.  The schema is append-only:
-    /// downstream tooling may rely on existing names and positions.  Fields
-    /// past [`SimMetrics::CORE_FIELD_COUNT`] belong to the wavelength layer
-    /// and are undefined (`NaN` floats) for capacity-1 runs; fields past
-    /// [`SimMetrics::EXTENDED_FIELD_COUNT`] belong to the fault-timeline
-    /// restoration layer and are undefined when no kernel swap happened
-    /// (`fault_events == 0`).
-    pub const FIELD_NAMES: [&'static str; 26] = [
-        "processors",
-        "slots",
-        "injected",
-        "delivered",
-        "dropped",
-        "in_flight",
-        "throughput",
-        "avg_latency",
-        "max_latency",
-        "avg_hops",
-        "max_hops",
-        "grants",
-        "channels",
-        "utilization",
-        "delivery_ratio",
-        "wavelengths",
-        "blocked",
-        "alt_routed",
-        "blocking_ratio",
-        "wavelength_utilization",
-        "alt_route_rate",
-        "fault_events",
-        "in_flight_at_failure",
-        "dropped_by_failure",
-        "restore_slots",
-        "post_failure_latency_peak",
-    ];
-
-    /// The field values matching [`SimMetrics::FIELD_NAMES`] position by
-    /// position: the raw counters plus the derived statistics, with undefined
-    /// averages as [`MetricValue::Float`]`(NaN)`.
-    pub fn field_values(&self) -> [MetricValue; 26] {
-        [
-            MetricValue::Int(self.processors as u64),
-            MetricValue::Int(self.slots),
-            MetricValue::Int(self.injected),
-            MetricValue::Int(self.delivered),
-            MetricValue::Int(self.dropped),
-            MetricValue::Int(self.in_flight),
-            MetricValue::Float(self.throughput()),
-            MetricValue::Float(self.average_latency()),
-            MetricValue::Int(self.max_latency),
-            MetricValue::Float(self.average_hops()),
-            MetricValue::Int(u64::from(self.max_hops)),
-            MetricValue::Int(self.grants),
-            MetricValue::Int(self.channels as u64),
-            MetricValue::Float(self.channel_utilization()),
-            MetricValue::Float(self.delivery_ratio()),
-            MetricValue::Int(self.wavelengths as u64),
-            MetricValue::Int(self.blocked),
-            MetricValue::Int(self.alt_routed),
-            MetricValue::Float(self.blocking_ratio()),
-            MetricValue::Float(self.wavelength_utilization()),
-            MetricValue::Float(self.alt_route_rate()),
-            MetricValue::Int(self.fault_events),
-            self.restoration_counter(self.in_flight_at_failure),
-            self.restoration_counter(self.dropped_by_failure),
-            if self.restore_slots == u64::MAX {
-                MetricValue::Float(f64::NAN)
-            } else {
-                self.restoration_counter(self.restore_slots)
-            },
-            self.restoration_counter(self.post_failure_latency_peak),
-        ]
-    }
-
-    /// A restoration-layer counter: an exact integer when a fault timeline
-    /// swapped kernels during the run, undefined (`NaN`) on static runs —
-    /// mirroring how `wavelengths == 0` marks the wavelength statistics
-    /// undefined.
-    fn restoration_counter(&self, value: u64) -> MetricValue {
-        if self.fault_events == 0 {
-            MetricValue::Float(f64::NAN)
-        } else {
-            MetricValue::Int(value)
-        }
-    }
-
     /// Records a delivery.
     pub fn record_delivery(&mut self, latency: u64, hops: u32) {
         self.delivered += 1;
@@ -352,146 +237,5 @@ mod tests {
         assert!((m.alt_route_rate() - 0.2).abs() < 1e-12);
         // 400 grants over 100 slots * 4 channels * 2 wavelengths.
         assert!((m.wavelength_utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn field_values_match_field_names() {
-        let mut m = SimMetrics::new(10, 5);
-        m.slots = 100;
-        m.injected = 50;
-        m.record_delivery(4, 2);
-        m.grants = 40;
-        let values = m.field_values();
-        assert_eq!(values.len(), SimMetrics::FIELD_NAMES.len());
-        let field = |name: &str| {
-            let i = SimMetrics::FIELD_NAMES
-                .iter()
-                .position(|&n| n == name)
-                .unwrap_or_else(|| panic!("no field '{name}'"));
-            values[i]
-        };
-        assert_eq!(field("processors"), MetricValue::Int(10));
-        assert_eq!(field("delivered"), MetricValue::Int(1));
-        assert_eq!(field("max_hops"), MetricValue::Int(2));
-        assert_eq!(field("avg_latency"), MetricValue::Float(4.0));
-        assert_eq!(field("throughput"), MetricValue::Float(0.001));
-    }
-
-    #[test]
-    fn undefined_statistics_serialize_as_nan_floats() {
-        // A zero-delivery run: the averages are NaN floats (for the sink
-        // layer to render per format), never panics or zeros.
-        let m = SimMetrics::new(4, 2);
-        let nan_fields: Vec<&str> = SimMetrics::FIELD_NAMES
-            .iter()
-            .zip(m.field_values())
-            .filter(|(_, v)| matches!(v, MetricValue::Float(x) if x.is_nan()))
-            .map(|(&n, _)| n)
-            .collect();
-        assert_eq!(
-            nan_fields,
-            [
-                "avg_latency",
-                "avg_hops",
-                "delivery_ratio",
-                "blocking_ratio",
-                "wavelength_utilization",
-                "alt_route_rate",
-                "in_flight_at_failure",
-                "dropped_by_failure",
-                "restore_slots",
-                "post_failure_latency_peak",
-            ]
-        );
-    }
-
-    #[test]
-    fn restoration_fields_are_defined_exactly_when_kernels_swapped() {
-        let mut m = SimMetrics::new(4, 2);
-        m.fault_events = 2;
-        m.in_flight_at_failure = 7;
-        m.dropped_by_failure = 3;
-        m.restore_slots = 12;
-        m.post_failure_latency_peak = 9;
-        let values = m.field_values();
-        let field = |name: &str| {
-            let i = SimMetrics::FIELD_NAMES
-                .iter()
-                .position(|&n| n == name)
-                .unwrap_or_else(|| panic!("no field '{name}'"));
-            values[i]
-        };
-        assert_eq!(field("fault_events"), MetricValue::Int(2));
-        assert_eq!(field("in_flight_at_failure"), MetricValue::Int(7));
-        assert_eq!(field("dropped_by_failure"), MetricValue::Int(3));
-        assert_eq!(field("restore_slots"), MetricValue::Int(12));
-        assert_eq!(field("post_failure_latency_peak"), MetricValue::Int(9));
-        // Never restored: the sentinel serializes as undefined, not as MAX.
-        m.restore_slots = u64::MAX;
-        let i = SimMetrics::FIELD_NAMES
-            .iter()
-            .position(|&n| n == "restore_slots")
-            .unwrap();
-        assert!(matches!(m.field_values()[i], MetricValue::Float(x) if x.is_nan()));
-        // fault_events itself is always an exact counter, 0 on static runs.
-        let fresh = SimMetrics::new(4, 2);
-        let j = SimMetrics::FIELD_NAMES
-            .iter()
-            .position(|&n| n == "fault_events")
-            .unwrap();
-        assert_eq!(fresh.field_values()[j], MetricValue::Int(0));
-    }
-
-    #[test]
-    fn extended_prefix_is_the_wavelength_schema() {
-        assert_eq!(SimMetrics::EXTENDED_FIELD_COUNT, 21);
-        assert_eq!(
-            SimMetrics::FIELD_NAMES[SimMetrics::EXTENDED_FIELD_COUNT - 1],
-            "alt_route_rate"
-        );
-        assert_eq!(
-            SimMetrics::FIELD_NAMES[SimMetrics::EXTENDED_FIELD_COUNT],
-            "fault_events"
-        );
-    }
-
-    #[test]
-    fn core_prefix_is_the_legacy_schema() {
-        assert_eq!(SimMetrics::CORE_FIELD_COUNT, 15);
-        assert_eq!(
-            &SimMetrics::FIELD_NAMES[..SimMetrics::CORE_FIELD_COUNT],
-            [
-                "processors",
-                "slots",
-                "injected",
-                "delivered",
-                "dropped",
-                "in_flight",
-                "throughput",
-                "avg_latency",
-                "max_latency",
-                "avg_hops",
-                "max_hops",
-                "grants",
-                "channels",
-                "utilization",
-                "delivery_ratio",
-            ]
-        );
-        // Every wavelength-layer float is NaN for a legacy run, so core-only
-        // serialization loses nothing.
-        let m = SimMetrics::new(4, 2);
-        for (name, value) in SimMetrics::FIELD_NAMES
-            .iter()
-            .zip(m.field_values())
-            .skip(SimMetrics::CORE_FIELD_COUNT)
-        {
-            match value {
-                MetricValue::Int(x) => assert_eq!(x, 0, "{name} must be 0 when the layer is off"),
-                MetricValue::Float(x) => {
-                    assert!(x.is_nan(), "{name} must be NaN when the layer is off")
-                }
-            }
-        }
     }
 }

@@ -523,8 +523,8 @@ impl AltRoutes {
 
 /// The immutable, shareable kernel of the multi-OPS simulator: the
 /// fault-filtered [`StackRouter`] (quotient routing table) plus the
-/// [`FlatRoutes`] table of every source/destination route, and — when
-/// prepared with [`PreparedMultiOps::with_alternates`] — the [`AltRoutes`]
+/// `FlatRoutes` table of every source/destination route, and — when
+/// prepared with [`PreparedMultiOps::with_alternates`] — the `AltRoutes`
 /// table of Yen alternates.  Building one is
 /// the expensive part of a simulation; [`PreparedMultiOps::run`] is the
 /// cheap part and can be called any number of times with different seeds,
@@ -575,8 +575,8 @@ impl PreparedMultiOps {
     /// delta-repair instead of rebuilding from scratch: the quotient routing
     /// table is column-repaired (see [`StackRouter::from_repair`]), only the
     /// flat-route pairs the faults can have touched are recomputed
-    /// ([`FlatRoutes::repaired`]), and — when `alt_paths > 1` — alternate
-    /// routes are delta-rebuilt too ([`AltRoutes::repaired`]): group-level
+    /// (`FlatRoutes::repaired`), and — when `alt_paths > 1` — alternate
+    /// routes are delta-rebuilt too (`AltRoutes::repaired`): group-level
     /// Yen reruns only for group pairs whose fault-free enumeration the
     /// faults can have disturbed, and per-pair materialisation only where the
     /// Yen list or the primary route changed.  The result is bit-identical to
@@ -616,12 +616,12 @@ impl PreparedMultiOps {
     /// routing table is rebuilt from the fault-free `base` by column repair
     /// (bit-identical to from-scratch) while the per-group change flags are
     /// computed against `current` restricted to previously-live rows (see
-    /// [`StackRouter::from_recovery`]), so [`FlatRoutes::recovered`] can
+    /// [`StackRouter::from_recovery`]), so `FlatRoutes::recovered` can
     /// copy every route recovery provably cannot have changed from
     /// `current` instead of recomputing it.  Alternate routes are recomputed
     /// in full when `alt_paths > 1` — recovery *adds* quotient paths back,
     /// so the current kernel's Yen enumerations bound nothing (unlike the
-    /// repair direction, where [`AltRoutes::repaired`] delta-rebuilds).  The
+    /// repair direction, where `AltRoutes::repaired` delta-rebuilds).  The
     /// result is bit-identical to [`PreparedMultiOps::with_alternates`]
     /// over the base stack-graph and `faults`.  `alt_paths` must equal the
     /// value `base` and `current` were prepared with.

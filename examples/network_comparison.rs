@@ -14,8 +14,8 @@
 
 use otis_lightwave::net::{
     compare_spec_strs, default_thread_count, frontier_scan, run_grid, run_grid_streaming,
-    saturation_point, ComparisonRow, FaultSet, JsonLinesSink, NetworkSpec, ScenarioGrid,
-    ScenarioRow, TrafficSpec,
+    saturation_point, ComparisonRow, FaultSet, JsonLinesSink, NetworkSpec, ScenarioGrid, Tier,
+    TrafficSpec,
 };
 
 fn main() {
@@ -73,9 +73,9 @@ fn main() {
     let rows = run_grid(&grid, default_thread_count()).expect("specs are valid");
     println!();
     println!("Fault sweep on SK(4,2,2) (group 0 failed vs intact, bound k+2 = 4):");
-    println!("{}", ScenarioRow::table_header());
+    println!("{}", Tier::Legacy.table_header());
     for row in &rows {
-        println!("{}", row.as_table_row());
+        println!("{}", Tier::Legacy.table_row(row));
     }
 
     // The workload axis is first-class: adversarial demand matrices sweep
@@ -92,9 +92,9 @@ fn main() {
     let rows = run_grid(&grid, default_thread_count()).expect("workloads bind to DB(2,5)");
     println!();
     println!("Workload axis on DB(2,5): equal load, very different traffic:");
-    println!("{}", ScenarioRow::table_header());
+    println!("{}", Tier::Legacy.table_header());
     for row in &rows {
-        println!("{}", row.as_table_row());
+        println!("{}", Tier::Legacy.table_row(row));
     }
     // Results also *stream*: run_grid_streaming hands rows to a RowSink in
     // grid order while later cells are still running, so machine-readable

@@ -18,7 +18,7 @@
 
 use otis_lightwave::net::{
     run_grid, run_grid_streaming, CsvSink, GridWarning, JsonLinesSink, Network, NetworkSpec,
-    ScenarioGrid, SimOptions, TableSink, TrafficSpec,
+    ScenarioGrid, SimOptions, TableSink, Tier, TrafficSpec,
 };
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::sim::{DemandSource, SlotScratch, TraceReplay};
@@ -200,9 +200,9 @@ fn checked_in_example_trace_replays_with_exact_counts() {
     // sentinels (`-`, `null`) are reserved for genuinely undefined cells.
     assert_eq!(row.offered_load, 29.0 / (64.0 * 32.0));
     assert!(
-        row.as_table_row().contains("0.014"),
+        Tier::Legacy.table_row(row).contains("0.014"),
         "{}",
-        row.as_table_row()
+        Tier::Legacy.table_row(row)
     );
     let mut jsonl = JsonLinesSink::new(Vec::new());
     run_grid_streaming(&grid, 1, &mut jsonl).unwrap();

@@ -10,7 +10,7 @@
 
 use otis_lightwave::net::{
     reorder_window, run_grid, run_grid_streaming, CollectSink, CsvSink, JsonLinesSink, NetworkSpec,
-    ScenarioGrid, TableSink, TrafficSpec,
+    ScenarioGrid, TableSink, Tier, TrafficSpec,
 };
 
 /// A mixed-workload grid: 3 specs x 3 workloads x 2 seeds = 18 cells.
@@ -45,8 +45,8 @@ fn run_grid_equals_streaming_into_a_collect_sink() {
     let streamed = sink.into_rows();
     assert_eq!(wrapped, streamed);
     // Byte-for-byte: the rendered tables agree too.
-    let wrapped_text: Vec<String> = wrapped.iter().map(|r| r.as_table_row()).collect();
-    let streamed_text: Vec<String> = streamed.iter().map(|r| r.as_table_row()).collect();
+    let wrapped_text: Vec<String> = wrapped.iter().map(|r| Tier::Legacy.table_row(r)).collect();
+    let streamed_text: Vec<String> = streamed.iter().map(|r| Tier::Legacy.table_row(r)).collect();
     assert_eq!(wrapped_text, streamed_text);
 }
 

@@ -5,7 +5,8 @@
 //! grid deterministically at any thread count.
 
 use otis_lightwave::net::{
-    parse_scenario_config, run_grid, Network, NetworkError, ScenarioGrid, SimOptions, TrafficSpec,
+    parse_scenario_config, run_grid, Network, NetworkError, ScenarioGrid, SimOptions, Tier,
+    TrafficSpec,
 };
 
 /// A Display ↔ FromStr sweep across every pattern and a spread of loads,
@@ -198,7 +199,7 @@ fn mixed_workload_grid_is_thread_count_independent() {
     // rendered table is thread-count independent along with the rows.
     for row in &serial {
         assert_eq!(row.offered_load, row.traffic.offered_load());
-        assert!(!row.as_table_row().contains("NaN"));
+        assert!(!Tier::Legacy.table_row(row).contains("NaN"));
     }
 }
 
