@@ -48,9 +48,10 @@
 //! and counted in [`StreamSummary::kernels_built`] — and every other
 //! `(spec, fault-pattern)` slot is **delta-repaired** from that base
 //! ([`PreparedSim::repair`], counted in
-//! [`StreamSummary::kernels_repaired`]): only routing-table columns and
-//! route pairs the faults actually touch are recomputed, which is far
-//! cheaper than a full rebuild and bit-identical to one.  A fault-sweep
+//! [`StreamSummary::kernels_repaired`]): only the distance-table columns
+//! (deflection kernels) or route pairs (multi-OPS kernels) the faults can
+//! have moved are recomputed, which is far cheaper than a full rebuild and
+//! bit-identical to one.  A fault-sweep
 //! grid therefore performs exactly one full routing-state construction per
 //! spec plus one cheap repair per non-empty fault pattern — the two
 //! counters the cache tests pin (`built + repaired` = distinct exercised
@@ -77,11 +78,10 @@
 //! simulating one static fault pattern.  The swap kernels are prepared once
 //! per `(spec, fault-pattern, schedule)` triple — a [`PreparedTimeline`],
 //! cached in its own `OnceLock` lattice exactly like the static kernels —
-//! and every epoch kernel is delta-derived, never built from scratch:
-//! failures repair *forward* from the spec's fault-free base
-//! ([`PreparedSim::repair`]'s machinery), recoveries repair *backward*
-//! toward fewer faults reusing the routing state both epochs share.  Each
-//! epoch counts in [`StreamSummary::kernels_repaired`], and the number of
+//! and every epoch kernel is delta-derived, never built from scratch: each
+//! one, a recovery's included, is repaired from the spec's fault-free base
+//! toward its epoch's fault set ([`PreparedSim::repair`]'s machinery).
+//! Each epoch counts in [`StreamSummary::kernels_repaired`], and the number of
 //! swaps the delivered rows actually performed is threaded out through
 //! [`StreamSummary::kernel_swaps`].
 //!

@@ -140,10 +140,9 @@ impl PreparedSim {
     }
 
     /// Binds a [`FaultSchedule`] against this kernel's fault domain and
-    /// prepares one kernel per event slot, all delta-derived from `base`
-    /// (the fault-free kernel of the same spec): failures via
-    /// `repair_from`, recoveries via `recover_from` where the event only
-    /// removes faults relative to the preceding epoch.  `initial` is the
+    /// prepares one kernel per event slot, each repaired from `base` (the
+    /// fault-free kernel of the same spec) toward its epoch's fault set via
+    /// `repair_from` — for failures and recoveries alike.  `initial` is the
     /// kernel the run starts on (it carries the cell's static fault
     /// pattern); its faults are the floor every epoch unions onto.
     ///

@@ -83,19 +83,6 @@ pub enum NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// The family mnemonic used in the spec syntax (`"SK"`, `"POPS"`, …).
-    pub fn family_name(&self) -> &'static str {
-        match self {
-            NetworkSpec::Complete { .. } => "K",
-            NetworkSpec::DeBruijn { .. } => "DB",
-            NetworkSpec::Kautz { .. } => "KG",
-            NetworkSpec::ImaseItoh { .. } => "II",
-            NetworkSpec::Pops { .. } => "POPS",
-            NetworkSpec::StackKautz { .. } => "SK",
-            NetworkSpec::StackImaseItoh { .. } => "SII",
-        }
-    }
-
     /// Whether the spec describes a multi-OPS (stack-graph) network, as
     /// opposed to a point-to-point digraph network.
     pub fn is_multi_ops(&self) -> bool {
@@ -393,6 +380,5 @@ mod tests {
         assert!(kg.validate().is_ok());
         assert!(!kg.is_multi_ops());
         assert!(sk.is_multi_ops());
-        assert_eq!(sk.family_name(), "SK");
     }
 }

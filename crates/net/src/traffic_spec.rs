@@ -333,22 +333,6 @@ impl fmt::Display for TrafficError {
 impl std::error::Error for TrafficError {}
 
 impl TrafficSpec {
-    /// The pattern mnemonic used in the workload syntax (`"uniform"`,
-    /// `"perm"`, …).
-    pub fn pattern_name(&self) -> &'static str {
-        match self {
-            TrafficSpec::Uniform { .. } => "uniform",
-            TrafficSpec::Permutation { .. } => "perm",
-            TrafficSpec::Hotspot { .. } => "hotspot",
-            TrafficSpec::Transpose { .. } => "transpose",
-            TrafficSpec::BitReversal { .. } => "bitrev",
-            TrafficSpec::Poisson { .. } => "poisson",
-            TrafficSpec::OnOff { .. } => "onoff",
-            TrafficSpec::Mix { .. } => "mix",
-            TrafficSpec::Trace { .. } => "trace",
-        }
-    }
-
     /// The nominal offered load (messages per processor per slot): the load
     /// of a stationary pattern, the expected per-slot injection probability
     /// of a stochastic process, and `NaN` (undefined ahead of replay) for a
@@ -947,7 +931,6 @@ mod tests {
             })
         );
         assert_eq!(spec.offered_load(), 0.5);
-        assert_eq!(spec.pattern_name(), "perm");
         // effective_load delegates to the pattern's fixed-point accounting.
         let degenerate: TrafficSpec = "perm(0.5,10)".parse().unwrap();
         assert_eq!(degenerate.effective_load(10), 0.0);

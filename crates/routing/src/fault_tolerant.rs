@@ -71,8 +71,8 @@ impl FaultSet {
     }
 
     /// Whether every fault of `self` also appears in `other` — the test that
-    /// decides whether a mid-run kernel swap moves *toward* faults (a
-    /// repair) or away from them (a recovery).
+    /// decides whether a mid-run kernel swap introduces faults (a failure
+    /// event) or only removes them (a recovery).
     pub fn is_subset_of(&self, other: &FaultSet) -> bool {
         self.failed_nodes.is_subset(&other.failed_nodes)
             && self.failed_arcs.is_subset(&other.failed_arcs)

@@ -61,23 +61,6 @@ pub struct StackRouter {
     faults: FaultSet,
 }
 
-/// Result of [`StackRouter::from_repair`]: the repaired router plus which
-/// destination *groups* (quotient columns) changed relative to the
-/// fault-free base.  Callers caching per-destination route state — such as
-/// the flattened route tables of the prepared multi-OPS kernels — can keep
-/// every cached route towards an unchanged live group and rebuild only the
-/// rest.
-#[derive(Debug, Clone)]
-pub struct StackRepair {
-    /// The repaired router, identical to
-    /// [`StackRouter::from_shared`] with the same faults.
-    pub router: StackRouter,
-    /// `changed_groups[g]`: whether routes towards destination group `g`
-    /// may differ from the fault-free base (recomputed column or failed
-    /// group).
-    pub changed_groups: Vec<bool>,
-}
-
 impl StackRouter {
     /// Builds a router for the given stack-graph (precomputes the quotient
     /// routing table).
@@ -99,7 +82,9 @@ impl StackRouter {
     /// already-shared stack-graph without copying any graph data — only the
     /// quotient routing table is computed (over the surviving quotient when
     /// faults are present).  This is the constructor prepared simulation
-    /// kernels use.
+    /// kernels use, for every fault set: the quotient has one node per
+    /// group, so its table is cheap next to the per-processor route tables
+    /// built on top of it.
     pub fn from_shared(stack: Arc<StackGraph>, faults: FaultSet) -> Self {
         let quotient_table = if faults.is_empty() {
             RoutingTable::new(stack.quotient())
@@ -113,80 +98,6 @@ impl StackRouter {
         }
     }
 
-    /// Delta-repair construction: derives a fault-avoiding router from the
-    /// fault-free `base` by patching only the quotient-table columns the
-    /// faults touch (see [`RoutingTable::repaired`]) instead of recomputing
-    /// the all-pairs table.  The result routes identically to
-    /// `StackRouter::from_shared(stack, faults)`.
-    ///
-    /// # Panics
-    /// Panics when `base` already avoids faults — repairs always start from
-    /// the fault-free table.
-    pub fn from_repair(base: &StackRouter, faults: &FaultSet) -> StackRepair {
-        assert!(
-            base.faults.is_empty(),
-            "delta repair must start from a fault-free router"
-        );
-        let quotient = base.stack.quotient();
-        if faults.is_empty() {
-            return StackRepair {
-                router: base.clone(),
-                changed_groups: vec![false; quotient.node_count()],
-            };
-        }
-        let survivor = surviving_subgraph(quotient, faults);
-        let repair = base.quotient_table.repaired(&survivor, faults);
-        StackRepair {
-            router: StackRouter {
-                stack: base.stack.clone(),
-                quotient_table: repair.table,
-                faults: faults.clone(),
-            },
-            changed_groups: repair.changed,
-        }
-    }
-
-    /// Recovery construction: derives the router for `faults` — a *subset*
-    /// of the faults `current` avoids — from the fault-free `base`.  This is
-    /// the routing direction [`StackRouter::from_repair`] cannot express:
-    /// repairs always grow the fault set from a fault-free base, while a
-    /// mid-run recovery event shrinks it.  The resulting router is identical
-    /// to `StackRouter::from_shared(stack, faults)`, and `changed_groups` is
-    /// an exact per-column comparison *against `current`* (see
-    /// [`RoutingTable::recovered`]): kernel caches can keep every route
-    /// between groups that were live before the recovery and whose
-    /// destination column did not move, rebuilding only the rest.
-    ///
-    /// # Panics
-    /// Panics when `base` is not fault-free or (in debug builds) when
-    /// `faults` is not a subset of `current`'s faults.
-    pub fn from_recovery(
-        current: &StackRouter,
-        base: &StackRouter,
-        faults: &FaultSet,
-    ) -> StackRepair {
-        assert!(
-            base.faults.is_empty(),
-            "recovery must derive from a fault-free base"
-        );
-        let quotient = base.stack.quotient();
-        let survivor = surviving_subgraph(quotient, faults);
-        let repair = current.quotient_table.recovered(
-            &base.quotient_table,
-            &survivor,
-            &current.faults,
-            faults,
-        );
-        StackRepair {
-            router: StackRouter {
-                stack: base.stack.clone(),
-                quotient_table: repair.table,
-                faults: faults.clone(),
-            },
-            changed_groups: repair.changed,
-        }
-    }
-
     /// The stack-graph this router serves.
     pub fn stack_graph(&self) -> &StackGraph {
         &self.stack
@@ -195,6 +106,17 @@ impl StackRouter {
     /// The quotient-level faults this router avoids (empty by default).
     pub fn faults(&self) -> &FaultSet {
         &self.faults
+    }
+
+    /// The shared stack-graph, for building further routers over it with
+    /// [`StackRouter::from_shared`].
+    pub fn shared_stack(&self) -> &Arc<StackGraph> {
+        &self.stack
+    }
+
+    /// The group-level routing table over the surviving quotient.
+    pub fn quotient_table(&self) -> &RoutingTable {
+        &self.quotient_table
     }
 
     /// Routes from processor `src` to processor `dst` (flat identifiers).
@@ -447,93 +369,6 @@ mod tests {
                             "route passes through the failed group"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn from_repair_routes_identically_to_from_scratch() {
-        use crate::fault_tolerant::node_fault_patterns_up_to;
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let base = StackRouter::from_shared(stack.clone(), FaultSet::new());
-        // d = 2: the §2.5 survivability claim covers every fault set of at
-        // most one group; check exhaustively that repair == from scratch.
-        for faults in node_fault_patterns_up_to(stack.group_count(), 1) {
-            let scratch = StackRouter::from_shared(stack.clone(), faults.clone());
-            let repair = StackRouter::from_repair(&base, &faults);
-            assert_eq!(repair.router.quotient_table, scratch.quotient_table);
-            for src in 0..sk.node_count() {
-                for dst in 0..sk.node_count() {
-                    assert_eq!(
-                        repair.router.route(src, dst),
-                        scratch.route(src, dst),
-                        "{src}->{dst} under faults {:?}",
-                        faults.sorted_nodes()
-                    );
-                }
-            }
-            // Routes towards unchanged live groups must be reusable as-is.
-            for dst in 0..sk.node_count() {
-                let g = stack.to_stack_node(dst).group;
-                if repair.changed_groups[g] {
-                    continue;
-                }
-                for src in 0..sk.node_count() {
-                    let gs = stack.to_stack_node(src).group;
-                    if faults.node_failed(gs) || gs == g {
-                        continue;
-                    }
-                    assert_eq!(repair.router.route(src, dst), base.route(src, dst));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn from_recovery_routes_identically_to_from_scratch() {
-        use crate::fault_tolerant::node_fault_patterns_up_to;
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let base = StackRouter::from_shared(stack.clone(), FaultSet::new());
-        let previous = FaultSet::from_nodes([0, 3]);
-        let current = StackRouter::from_shared(stack.clone(), previous.clone());
-        // Every subset of the current faults is a legal recovery target.
-        for faults in node_fault_patterns_up_to(stack.group_count(), 2) {
-            if !faults.is_subset_of(&previous) {
-                continue;
-            }
-            let scratch = StackRouter::from_shared(stack.clone(), faults.clone());
-            let recovery = StackRouter::from_recovery(&current, &base, &faults);
-            assert_eq!(recovery.router.quotient_table, scratch.quotient_table);
-            for src in 0..sk.node_count() {
-                for dst in 0..sk.node_count() {
-                    assert_eq!(
-                        recovery.router.route(src, dst),
-                        scratch.route(src, dst),
-                        "{src}->{dst} recovering to {:?}",
-                        faults.sorted_nodes()
-                    );
-                }
-            }
-            // Routes between previously-live groups towards unchanged
-            // columns must be reusable from the *current* router as-is.
-            for dst in 0..sk.node_count() {
-                let gd = stack.to_stack_node(dst).group;
-                if recovery.changed_groups[gd] || previous.node_failed(gd) {
-                    continue;
-                }
-                for src in 0..sk.node_count() {
-                    let gs = stack.to_stack_node(src).group;
-                    if previous.node_failed(gs) || gs == gd {
-                        continue;
-                    }
-                    assert_eq!(
-                        recovery.router.route(src, dst),
-                        current.route(src, dst),
-                        "{src}->{dst} should carry over from the faulted router"
-                    );
                 }
             }
         }

@@ -144,16 +144,6 @@ impl DemandSpec {
         })
     }
 
-    /// Unwraps a stationary workload back into its [`TrafficPattern`],
-    /// `None` for the demand processes — for callers that only handle
-    /// stationary workloads.
-    pub fn into_pattern(self) -> Option<TrafficPattern> {
-        match self {
-            DemandSpec::Pattern(pattern) => Some(pattern),
-            _ => None,
-        }
-    }
-
     /// The nominal offered load in messages per processor per slot — the
     /// expected per-slot injection probability for stochastic variants,
     /// [`TrafficPattern::offered_load`] for stationary patterns, and for

@@ -64,9 +64,10 @@
 //!
 //! A fault pattern's kernel does not have to be built from scratch: both
 //! kernels have `repair_from` constructors that derive it from the
-//! fault-free base by **delta repair** — only routing-table columns and
-//! route pairs the faults actually touch are recomputed, and the result is
-//! bit-identical to a from-scratch build.  A fault-sweep grid therefore
+//! fault-free base by **delta repair** — only the distance-table columns
+//! (deflection kernels) or route pairs (multi-OPS kernels) the faults can
+//! have moved are recomputed, and the result is bit-identical to a
+//! from-scratch build.  A fault-sweep grid therefore
 //! pays full routing-state construction once per network and a much
 //! cheaper repair per fault pattern; `otis_net::engine` derives its cached
 //! kernels exactly this way.
@@ -77,10 +78,10 @@
 //! [`schedule::FaultSchedule`] (`"fail(node 3)@32; recover@96"`) binds to a
 //! run as a **timeline** — a chronological list of `(slot, kernel)` epochs
 //! built by [`PreparedHotPotato::timeline_from`] /
-//! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
-//! fault-free base (`repair_from` when the swap grows the fault set, the
-//! recovery constructors of `otis-routing` when it shrinks) and
-//! bit-identical to a from-scratch build.  A run given a non-empty
+//! [`PreparedMultiOps::timeline_from`], each epoch kernel repaired from the
+//! fault-free base toward its epoch's fault set with `repair_from`, whether
+//! the swap grows the fault set or shrinks it, and bit-identical to a
+//! from-scratch build.  A run given a non-empty
 //! timeline swaps the active kernel at the start of each epoch slot,
 //! before injections: in-flight messages are re-resolved against the new
 //! routing tables (multi-OPS flights restart their route from the holding

@@ -30,11 +30,6 @@ impl Message {
         }
     }
 
-    /// Whether the message has been delivered.
-    pub fn is_delivered(&self) -> bool {
-        self.delivered_slot.is_some()
-    }
-
     /// End-to-end latency in slots (delivery slot − creation slot), when
     /// delivered.  A message delivered in the slot after its creation has
     /// latency 1.
@@ -51,11 +46,9 @@ mod tests {
     #[test]
     fn lifecycle() {
         let mut m = Message::new(7, 1, 5, 10);
-        assert!(!m.is_delivered());
         assert_eq!(m.latency(), None);
         m.hops = 2;
         m.delivered_slot = Some(13);
-        assert!(m.is_delivered());
         assert_eq!(m.latency(), Some(3));
     }
 

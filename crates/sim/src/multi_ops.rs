@@ -21,10 +21,10 @@
 //!   [`StackRouter`] quotient plus a flat CSR-style table of every
 //!   source/destination route (one contiguous [`StackHop`] slice per pair),
 //!   built once per `(stack-graph, fault-pattern)` pair.  A fault pattern's
-//!   kernel can also be *delta-repaired* from the fault-free base
-//!   ([`PreparedMultiOps::repair_from`]): only quotient columns and route
-//!   pairs the faults actually touch are recomputed, and the result is
-//!   bit-identical to building from scratch;
+//!   kernel — a timeline epoch's too — can also be *delta-repaired* from
+//!   the fault-free base ([`PreparedMultiOps::repair_from`]): only the
+//!   route pairs the faults can have moved are recomputed, and the result
+//!   is bit-identical to building from scratch;
 //! * [`PreparedMultiOps::run`] — the kernel's one run entry point — owns
 //!   only per-run mutable state (in a caller-owned
 //!   [`crate::kernel::SlotScratch`]) and drives the shared
@@ -179,33 +179,6 @@ struct FlatRoutes {
 }
 
 impl FlatRoutes {
-    /// Precomputes every route of the router, in source-major order.
-    fn new(router: &StackRouter) -> Self {
-        let n = router.stack_graph().node_count();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                match router.route(src, dst) {
-                    Some(route) => {
-                        reachable.push(true);
-                        hops.extend(route.hops);
-                    }
-                    None => reachable.push(false),
-                }
-                offsets.push(hops.len());
-            }
-        }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
-        }
-    }
-
     /// The hop slice of the route from `src` to `dst`; `None` when the pair
     /// is unreachable (a failed endpoint group or a disconnected quotient),
     /// `Some(&[])` when `src == dst`.
@@ -214,21 +187,40 @@ impl FlatRoutes {
         self.reachable[pair].then(|| &self.hops[self.offsets[pair]..self.offsets[pair + 1]])
     }
 
-    /// Delta-rebuild against a fault-free `base`: `router` must be the
-    /// repaired (fault-filtered) router and `changed_groups` the per-group
-    /// dirty flags from [`StackRouter::from_repair`].  A pair's route is
-    /// copied from the base when the faults provably cannot have changed it
-    /// — both endpoint groups live and distinct, and the quotient column of
-    /// the destination group untouched by the repair — and recomputed
-    /// through the repaired router otherwise.  The result is bit-identical
-    /// to [`FlatRoutes::new`] over the repaired router.
-    fn repaired(base: &FlatRoutes, router: &StackRouter, changed_groups: &[bool]) -> Self {
+    /// Precomputes every route of `router`, in source-major order, copying
+    /// from the `base` kernel every route the change of faults provably
+    /// cannot have moved; with no base every route is computed.
+    ///
+    /// A destination group's routes can be copied when the group is live
+    /// and its quotient column agrees with the base's — next hop and
+    /// distance — on every live row.  A cross-group route from a live group
+    /// only follows next hops through live groups (a failed group cannot
+    /// reach anything), so it retraces the base's group path, and
+    /// [`StackRouter::route_via_groups`] turns equal group paths into equal
+    /// hops.  A pair is copied when its groups are distinct, its source
+    /// group is live and its destination group's column can be copied;
+    /// every other pair goes through `router`.  The result is bit-identical
+    /// to a build with no base.
+    fn repaired(router: &StackRouter, base: Option<&PreparedMultiOps>) -> Self {
         let stack = router.stack_graph();
         let n = stack.node_count();
+        let groups = stack.quotient().node_count();
         let faults = router.faults();
         let group_of: Vec<usize> = (0..n).map(|p| stack.to_stack_node(p).group).collect();
-        let group_live: Vec<bool> = (0..changed_groups.len())
-            .map(|g| !faults.node_failed(g))
+        let live: Vec<bool> = (0..groups).map(|g| !faults.node_failed(g)).collect();
+        let table = router.quotient_table();
+        let copyable: Vec<bool> = (0..groups)
+            .map(|gd| {
+                base.is_some_and(|base| {
+                    let base_table = base.router.quotient_table();
+                    live[gd]
+                        && (0..groups).all(|u| {
+                            !live[u]
+                                || (table.next_hop(u, gd) == base_table.next_hop(u, gd)
+                                    && table.distance(u, gd) == base_table.distance(u, gd))
+                        })
+                })
+            })
             .collect();
         let mut offsets = Vec::with_capacity(n * n + 1);
         offsets.push(0);
@@ -237,84 +229,14 @@ impl FlatRoutes {
         for src in 0..n {
             let gs = group_of[src];
             for (dst, &gd) in group_of.iter().enumerate() {
-                let reuse = gs != gd && group_live[gs] && group_live[gd] && !changed_groups[gd];
-                if reuse {
-                    match base.get(src, dst) {
-                        Some(slice) => {
-                            reachable.push(true);
-                            hops.extend_from_slice(slice);
-                        }
-                        None => reachable.push(false),
-                    }
-                } else {
-                    match router.route(src, dst) {
-                        Some(route) => {
-                            reachable.push(true);
-                            hops.extend(route.hops);
-                        }
-                        None => reachable.push(false),
-                    }
-                }
-                offsets.push(hops.len());
-            }
-        }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
-        }
-    }
-
-    /// Delta-rebuild for *recovery* — the direction [`FlatRoutes::repaired`]
-    /// does not cover: `current` is the route table in force before the
-    /// swap (prepared under `previous` faults), `router` the recovered
-    /// router (fewer faults) and `changed_groups` the per-group dirty flags
-    /// from [`StackRouter::from_recovery`] — a group's flag is clear when
-    /// its quotient column is unchanged *on every previously-live row*.  A
-    /// pair's route is copied from `current` when recovery provably cannot
-    /// have changed it: endpoint groups distinct and live under `previous`
-    /// (cross-group routes only traverse previously-live rows of the
-    /// destination column, so an unchanged column pins the whole route),
-    /// and recomputed through the recovered router otherwise.  The result
-    /// is bit-identical to [`FlatRoutes::new`] over the recovered router.
-    fn recovered(
-        current: &FlatRoutes,
-        router: &StackRouter,
-        previous: &FaultSet,
-        changed_groups: &[bool],
-    ) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let group_of: Vec<usize> = (0..n).map(|p| stack.to_stack_node(p).group).collect();
-        let prev_live: Vec<bool> = (0..changed_groups.len())
-            .map(|g| !previous.node_failed(g))
-            .collect();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops: Vec<StackHop> = Vec::new();
-        for src in 0..n {
-            let gs = group_of[src];
-            for (dst, &gd) in group_of.iter().enumerate() {
-                let reuse = gs != gd && prev_live[gs] && prev_live[gd] && !changed_groups[gd];
-                if reuse {
-                    match current.get(src, dst) {
-                        Some(slice) => {
-                            reachable.push(true);
-                            hops.extend_from_slice(slice);
-                        }
-                        None => reachable.push(false),
-                    }
-                } else {
-                    match router.route(src, dst) {
-                        Some(route) => {
-                            reachable.push(true);
-                            hops.extend(route.hops);
-                        }
-                        None => reachable.push(false),
-                    }
-                }
+                let reached = match base {
+                    Some(base) if gs != gd && live[gs] && copyable[gd] => base
+                        .routes
+                        .get(src, dst)
+                        .map(|slice| hops.extend_from_slice(slice)),
+                    _ => router.route(src, dst).map(|route| hops.extend(route.hops)),
+                };
+                reachable.push(reached.is_some());
                 offsets.push(hops.len());
             }
         }
@@ -357,64 +279,15 @@ impl PartialEq for AltRoutes {
 
 impl AltRoutes {
     /// Precomputes up to `alt_paths - 1` alternates per pair (so primary
-    /// plus alternates total at most `alt_paths` routes).  Group-level Yen
-    /// paths are computed once per group pair and materialised per
-    /// processor pair, keeping the Yen cost `O(groups²)` instead of `O(n²)`.
-    fn new(router: &StackRouter, primary: &FlatRoutes, alt_paths: usize) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let quotient = stack.quotient();
-        let groups = quotient.node_count();
-        let faults = router.faults();
-        // Group-pair cache of loopless quotient paths.
-        let mut group_paths: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst || primary.get(src, dst).is_none() {
-                    routes.push(Vec::new());
-                    continue;
-                }
-                let sg = stack.to_stack_node(src).group;
-                let dg = stack.to_stack_node(dst).group;
-                let cached = &mut group_paths[sg * groups + dg];
-                let paths = cached.get_or_insert_with(|| {
-                    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| {
-                        faults.node_failed(u) || faults.node_failed(v) || faults.blocks(u, v)
-                    })
-                });
-                let primary_hops = primary.get(src, dst).expect("checked above");
-                let mut alts = Vec::new();
-                for group_path in paths.iter() {
-                    if group_path.len() < 2 {
-                        continue;
-                    }
-                    let Some(route) = router.route_via_groups(src, dst, group_path) else {
-                        continue;
-                    };
-                    if route.hops.as_slice() == primary_hops {
-                        continue;
-                    }
-                    alts.push(route.hops);
-                    if alts.len() + 1 >= alt_paths {
-                        break;
-                    }
-                }
-                routes.push(alts);
-            }
-        }
-        AltRoutes {
-            n,
-            routes,
-            group_paths,
-        }
-    }
-
-    /// Delta-rebuild against the fault-free base: recomputes alternates only
-    /// for pairs the faults can have perturbed, copying everything else from
-    /// `base`.  Bit-identical to [`AltRoutes::new`] over the repaired router.
+    /// plus alternates total at most `alt_paths` routes), copying from the
+    /// fault-free `base` kernel every pair the faults provably cannot have
+    /// perturbed; with no base (or a base prepared without alternates)
+    /// every pair is computed.  Group-level Yen paths are computed once per
+    /// group pair and materialised per processor pair, keeping the Yen cost
+    /// `O(groups²)` instead of `O(n²)`.  The result is bit-identical to a
+    /// build with no base.
     ///
-    /// A pair is reused when both hold:
+    /// A pair is copied when both hold:
     ///
     /// * *its group pair's Yen enumeration is provably undisturbed* — every
     ///   loopless quotient path the fault-free Yen run accepted for
@@ -426,22 +299,13 @@ impl AltRoutes {
     ///   primary-exclusion test of the materialisation then filters the same
     ///   entries ([`StackRouter::route_via_groups`] is purely structural, so
     ///   identical group paths materialise identically under both routers).
-    ///
-    /// Everything else goes through the exact [`AltRoutes::new`] machinery
-    /// (same lazy group-pair cache, same skip rules, same cap), so
-    /// recomputed pairs are trivially identical too.
     fn repaired(
-        base: &AltRoutes,
-        base_primary: &FlatRoutes,
         router: &StackRouter,
         primary: &FlatRoutes,
         alt_paths: usize,
+        base: Option<&PreparedMultiOps>,
     ) -> Self {
-        if base.routes.is_empty() {
-            // The base never prepared alternates (alt_paths <= 1 there);
-            // nothing to delta against.
-            return AltRoutes::new(router, primary, alt_paths);
-        }
+        let base = base.filter(|base| !base.alts.routes.is_empty());
         let stack = router.stack_graph();
         let n = stack.node_count();
         let quotient = stack.quotient();
@@ -450,35 +314,36 @@ impl AltRoutes {
         // Per group pair: does every base Yen path avoid the faults?
         // (`None` until first queried.)
         let mut undisturbed: Vec<Option<bool>> = vec![None; groups * groups];
-        // Lazy cache of *faulted* Yen enumerations, for recomputed pairs.
+        // Lazy cache of this router's Yen enumerations, for computed pairs.
         let mut group_paths: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
         let mut routes = Vec::with_capacity(n * n);
         for src in 0..n {
             for dst in 0..n {
-                if src == dst || primary.get(src, dst).is_none() {
+                let Some(primary_hops) = primary.get(src, dst).filter(|_| src != dst) else {
                     routes.push(Vec::new());
                     continue;
-                }
+                };
                 let sg = stack.to_stack_node(src).group;
                 let dg = stack.to_stack_node(dst).group;
                 let pair = sg * groups + dg;
-                let clean = *undisturbed[pair].get_or_insert_with(|| {
-                    base.group_paths[pair].as_ref().is_some_and(|paths| {
-                        paths
-                            .iter()
-                            .all(|p| p.windows(2).all(|w| !faults.blocks(w[0], w[1])))
-                    })
-                });
-                if clean && primary.get(src, dst) == base_primary.get(src, dst) {
-                    routes.push(base.routes[src * n + dst].clone());
-                    continue;
+                if let Some(base) = base {
+                    let clean = *undisturbed[pair].get_or_insert_with(|| {
+                        base.alts.group_paths[pair].as_ref().is_some_and(|paths| {
+                            paths
+                                .iter()
+                                .all(|p| p.windows(2).all(|w| !faults.blocks(w[0], w[1])))
+                        })
+                    });
+                    if clean && Some(primary_hops) == base.routes.get(src, dst) {
+                        routes.push(base.alts.routes[src * n + dst].clone());
+                        continue;
+                    }
                 }
                 let paths = group_paths[pair].get_or_insert_with(|| {
                     k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| {
                         faults.node_failed(u) || faults.node_failed(v) || faults.blocks(u, v)
                     })
                 });
-                let primary_hops = primary.get(src, dst).expect("checked above");
                 let mut alts = Vec::new();
                 for group_path in paths.iter() {
                     if group_path.len() < 2 {
@@ -557,29 +422,20 @@ impl PreparedMultiOps {
     /// the wavelength-mode slot loop.  `alt_paths <= 1` prepares no
     /// alternates and is exactly [`PreparedMultiOps::new`].
     pub fn with_alternates(stack: Arc<StackGraph>, faults: FaultSet, alt_paths: usize) -> Self {
-        let router = StackRouter::from_shared(stack, faults);
-        let routes = FlatRoutes::new(&router);
-        let alts = if alt_paths > 1 {
-            AltRoutes::new(&router, &routes, alt_paths)
-        } else {
-            AltRoutes::default()
-        };
-        PreparedMultiOps {
-            router,
-            routes,
-            alts,
-        }
+        Self::build(StackRouter::from_shared(stack, faults), None, alt_paths)
     }
 
     /// Derives the kernel for `faults` from a fault-free base kernel by
-    /// delta-repair instead of rebuilding from scratch: the quotient routing
-    /// table is column-repaired (see [`StackRouter::from_repair`]), only the
-    /// flat-route pairs the faults can have touched are recomputed
-    /// (`FlatRoutes::repaired`), and — when `alt_paths > 1` — alternate
-    /// routes are delta-rebuilt too (`AltRoutes::repaired`): group-level
-    /// Yen reruns only for group pairs whose fault-free enumeration the
-    /// faults can have disturbed, and per-pair materialisation only where the
-    /// Yen list or the primary route changed.  The result is bit-identical to
+    /// delta-repair instead of rebuilding from scratch — the one way a
+    /// faulted or timeline-epoch kernel is derived.  The quotient router is
+    /// built fresh (it has one node per group, so it is cheap), and the
+    /// per-processor tables copy from `base` whatever the faults provably
+    /// cannot have moved: `FlatRoutes::repaired` keeps every route towards
+    /// a destination group whose quotient column is unchanged on the live
+    /// rows, and — when `alt_paths > 1` — `AltRoutes::repaired` reruns
+    /// group-level Yen only for group pairs whose fault-free enumeration
+    /// the faults can have disturbed, and materialises only pairs whose Yen
+    /// list or primary route changed.  The result is bit-identical to
     /// [`PreparedMultiOps::with_alternates`] over the base stack-graph and
     /// the same faults, so runs from a repaired kernel match runs from a
     /// fresh one exactly.  `alt_paths` must equal the value the base was
@@ -596,68 +452,22 @@ impl PreparedMultiOps {
         if faults.is_empty() {
             return base.clone();
         }
-        let repair = StackRouter::from_repair(&base.router, faults);
-        let routes = FlatRoutes::repaired(&base.routes, &repair.router, &repair.changed_groups);
-        let alts = if alt_paths > 1 {
-            AltRoutes::repaired(&base.alts, &base.routes, &repair.router, &routes, alt_paths)
-        } else {
-            AltRoutes::default()
-        };
-        PreparedMultiOps {
-            router: repair.router,
-            routes,
-            alts,
-        }
+        let router =
+            StackRouter::from_shared(Arc::clone(base.router.shared_stack()), faults.clone());
+        Self::build(router, Some(base), alt_paths)
     }
 
-    /// Derives the kernel for `faults` from the `current` kernel when the
-    /// fault set *shrinks* — the recovery direction
-    /// [`PreparedMultiOps::repair_from`] does not cover.  The quotient
-    /// routing table is rebuilt from the fault-free `base` by column repair
-    /// (bit-identical to from-scratch) while the per-group change flags are
-    /// computed against `current` restricted to previously-live rows (see
-    /// [`StackRouter::from_recovery`]), so `FlatRoutes::recovered` can
-    /// copy every route recovery provably cannot have changed from
-    /// `current` instead of recomputing it.  Alternate routes are recomputed
-    /// in full when `alt_paths > 1` — recovery *adds* quotient paths back,
-    /// so the current kernel's Yen enumerations bound nothing (unlike the
-    /// repair direction, where `AltRoutes::repaired` delta-rebuilds).  The
-    /// result is bit-identical to [`PreparedMultiOps::with_alternates`]
-    /// over the base stack-graph and `faults`.  `alt_paths` must equal the
-    /// value `base` and `current` were prepared with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set; debug
-    /// builds also assert `faults` is a subset of `current`'s.
-    pub fn recover_from(
-        current: &PreparedMultiOps,
-        base: &PreparedMultiOps,
-        faults: &FaultSet,
-        alt_paths: usize,
-    ) -> Self {
-        assert!(
-            base.router.faults().is_empty(),
-            "recover_from requires a fault-free base kernel"
-        );
-        if faults.is_empty() {
-            return base.clone();
-        }
-        let previous = current.router.faults().clone();
-        let repair = StackRouter::from_recovery(&current.router, &base.router, faults);
-        let routes = FlatRoutes::recovered(
-            &current.routes,
-            &repair.router,
-            &previous,
-            &repair.changed_groups,
-        );
+    /// Precomputes the route tables over `router`, copying from `base`
+    /// whatever its faults leave valid (see [`PreparedMultiOps::repair_from`]).
+    fn build(router: StackRouter, base: Option<&PreparedMultiOps>, alt_paths: usize) -> Self {
+        let routes = FlatRoutes::repaired(&router, base);
         let alts = if alt_paths > 1 {
-            AltRoutes::new(&repair.router, &routes, alt_paths)
+            AltRoutes::repaired(&router, &routes, alt_paths, base)
         } else {
             AltRoutes::default()
         };
         PreparedMultiOps {
-            router: repair.router,
+            router,
             routes,
             alts,
         }
@@ -666,14 +476,11 @@ impl PreparedMultiOps {
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
     /// slot (fault targets are quotient groups and couplers, the multi-OPS
-    /// fault domain), each kernel bit-identical to preparing its epoch's
-    /// fault set from scratch.  Epochs that grow the fault set are
-    /// delta-repaired from the fault-free `base`
-    /// ([`PreparedMultiOps::repair_from`]); epochs that shrink it are
-    /// derived from the preceding epoch's kernel by the recovery path
-    /// ([`PreparedMultiOps::recover_from`]).  The result feeds
-    /// [`PreparedMultiOps::run`].  `alt_paths` must equal the
-    /// value `base` and `initial` were prepared with.
+    /// fault domain), each kernel delta-repaired from the fault-free `base`
+    /// toward that epoch's fault set ([`PreparedMultiOps::repair_from`]) —
+    /// recovery epochs included — and bit-identical to preparing it from
+    /// scratch.  The result feeds [`PreparedMultiOps::run`].  `alt_paths`
+    /// must equal the value `base` and `initial` were prepared with.
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// group outside the quotient or a scheduled failure duplicates one of
@@ -690,17 +497,15 @@ impl PreparedMultiOps {
     ) -> Result<Vec<(u64, PreparedMultiOps)>, FaultScheduleError> {
         let groups = base.router.stack_graph().quotient().node_count();
         let epochs = schedule.bind(groups, initial.router.faults())?;
-        let mut timeline: Vec<(u64, PreparedMultiOps)> = Vec::with_capacity(epochs.len());
-        for (slot, faults) in epochs {
-            let prev = timeline.last().map(|(_, k)| k).unwrap_or(initial);
-            let kernel = if faults.is_subset_of(prev.router.faults()) {
-                PreparedMultiOps::recover_from(prev, base, &faults, alt_paths)
-            } else {
-                PreparedMultiOps::repair_from(base, &faults, alt_paths)
-            };
-            timeline.push((slot, kernel));
-        }
-        Ok(timeline)
+        Ok(epochs
+            .into_iter()
+            .map(|(slot, faults)| {
+                (
+                    slot,
+                    PreparedMultiOps::repair_from(base, &faults, alt_paths),
+                )
+            })
+            .collect())
     }
 
     /// Number of processors simulated.
@@ -1435,52 +1240,6 @@ mod tests {
     }
 
     #[test]
-    fn recovered_kernels_run_identically_to_fresh_ones() {
-        // Deriving a smaller fault set's kernel from the current (larger)
-        // one via the recovery path must be indistinguishable from
-        // preparing it from scratch, with and without alternates, in both
-        // transmission disciplines.
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let previous = FaultSet::from_nodes([0, 3]);
-        let traffic = TrafficPattern::Uniform { load: 0.6 };
-        let configs = [
-            SimOptions::new(300, 1),
-            SimOptions {
-                slots: 300,
-                wavelengths: WavelengthConfig::with_count(2),
-                ..Default::default()
-            },
-        ];
-        for alt_paths in [1, 3] {
-            let base =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), FaultSet::new(), alt_paths);
-            let current =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), previous.clone(), alt_paths);
-            for target in [
-                FaultSet::new(),
-                FaultSet::from_nodes([0]),
-                FaultSet::from_nodes([3]),
-                previous.clone(),
-            ] {
-                let recovered = PreparedMultiOps::recover_from(&current, &base, &target, alt_paths);
-                let fresh = PreparedMultiOps::with_alternates(
-                    Arc::clone(&stack),
-                    target.clone(),
-                    alt_paths,
-                );
-                for config in &configs {
-                    assert_eq!(
-                        run_pattern(&recovered, &traffic, config),
-                        run_pattern(&fresh, &traffic, config),
-                        "target {target:?} alt_paths {alt_paths}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn epochs_past_the_run_leave_it_untouched() {
         // The swap machinery must be inert until an epoch is reached: a
         // timeline whose only epoch lies past the last slot gives the
@@ -1509,8 +1268,8 @@ mod tests {
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
         // prepared from scratch, in both disciplines: a timeline built by
-        // `timeline_from` (repair for the failure epoch, recovery for the
-        // recover epoch) and one rebuilt with fresh `with_alternates`
+        // `timeline_from` (a repair from the base for every epoch) and one
+        // rebuilt with fresh `with_alternates`
         // kernels produce the same run, metric for metric.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());

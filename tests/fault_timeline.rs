@@ -18,6 +18,7 @@
 use otis_lightwave::net::{
     run_grid, run_grid_streaming, CsvSink, FaultSchedule, FaultSet, JsonLinesSink, Network,
     NetworkSpec, PreparedSim, PreparedTimeline, ScenarioGrid, SimOptions, TableSink,
+    WavelengthConfig,
 };
 use otis_lightwave::sim::{SlotScratch, TrafficPattern};
 
@@ -103,6 +104,82 @@ fn scheduled_swap_matches_from_scratch_kernel_on_sk_with_alternates() {
         "delta-repaired swap diverged from the from-scratch kernels"
     );
     assert_eq!(repaired.fault_events, 2);
+}
+
+#[test]
+fn recovery_to_a_static_fault_matches_from_scratch_epochs() {
+    // Every epoch kernel, the recovery epoch included, is repaired from the
+    // fault-free base.  With a static fault {0} the recover epoch lands on
+    // {0}, not on the base: each epoch kernel must equal a from-scratch
+    // prepare of its fault set, and runs over the timeline must equal runs
+    // over from-scratch epochs at one and two wavelengths.
+    let schedule: FaultSchedule = "fail(node 3)@40; recover@160".parse().unwrap();
+    let static_faults = FaultSet::from_nodes([0]);
+    let expected = [
+        (40, FaultSet::from_nodes([0, 3])),
+        (160, static_faults.clone()),
+    ];
+    for (spec, alt_paths) in [
+        ("SK(2,2,2)", 1usize),
+        ("SK(2,2,2)", 3),
+        ("POPS(4,6)", 1),
+        ("POPS(4,6)", 3),
+        ("DB(2,8)", 1),
+    ] {
+        let network = Network::from_spec(spec).unwrap();
+        let base = network.prepare_with_alternates(&FaultSet::new(), alt_paths);
+        let initial = network.prepare_with_alternates(&static_faults, alt_paths);
+        let timeline = PreparedSim::timeline(&base, &initial, &schedule, alt_paths).unwrap();
+        assert_eq!(timeline.len(), expected.len(), "{spec}");
+        let scratch = match &timeline {
+            PreparedTimeline::HotPotato(epochs) => PreparedTimeline::HotPotato(
+                epochs
+                    .iter()
+                    .zip(&expected)
+                    .map(|((slot, kernel), (want_slot, faults))| {
+                        assert_eq!((slot, kernel.faults()), (want_slot, faults), "{spec}");
+                        let fresh = hot_potato_kernel(network.prepare(faults));
+                        assert!(kernel.routing_state_eq(&fresh), "{spec} at slot {slot}");
+                        (*slot, fresh)
+                    })
+                    .collect(),
+            ),
+            PreparedTimeline::MultiOps(epochs) => PreparedTimeline::MultiOps(
+                epochs
+                    .iter()
+                    .zip(&expected)
+                    .map(|((slot, kernel), (want_slot, faults))| {
+                        assert_eq!((slot, kernel.router().faults()), (want_slot, faults));
+                        let fresh =
+                            multi_ops_kernel(network.prepare_with_alternates(faults, alt_paths));
+                        assert!(
+                            kernel.routing_state_eq(&fresh),
+                            "{spec} (alt_paths {alt_paths}) at slot {slot}"
+                        );
+                        (*slot, fresh)
+                    })
+                    .collect(),
+            ),
+        };
+
+        let traffic = TrafficPattern::Uniform { load: 0.5 };
+        let mut pool = SlotScratch::new();
+        for count in [1, 2] {
+            let options = SimOptions {
+                wavelengths: WavelengthConfig::with_count(count),
+                ..SimOptions::new(240, 7).with_faults(static_faults.clone())
+            };
+            let repaired =
+                initial.run_with_timeline_scratch(Some(&timeline), &traffic, &options, &mut pool);
+            let from_scratch =
+                initial.run_with_timeline_scratch(Some(&scratch), &traffic, &options, &mut pool);
+            assert_eq!(
+                repaired, from_scratch,
+                "{spec} (alt_paths {alt_paths}, W = {count}) diverged from from-scratch epochs"
+            );
+            assert_eq!(repaired.fault_events, 2, "{spec}");
+        }
+    }
 }
 
 /// The exact grid the golden files were generated from (see

@@ -12,7 +12,8 @@ use otis_lightwave::net::{
 };
 use otis_lightwave::routing::node_fault_patterns_up_to;
 use otis_lightwave::sim::{
-    DemandSource, PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
+    DemandSource, DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch,
+    TrafficPattern,
 };
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
 use std::sync::Arc;
@@ -25,11 +26,9 @@ fn fresh_cell_metrics(
     options: &SimOptions,
 ) -> SimMetrics {
     let network = Network::new(*spec).unwrap();
-    let pattern = workload
-        .bind(network.node_count())
-        .unwrap()
-        .into_pattern()
-        .expect("these cells sweep stationary workloads only");
+    let DemandSpec::Pattern(pattern) = workload.bind(network.node_count()).unwrap() else {
+        panic!("these cells sweep stationary workloads only");
+    };
     let mut demand = DemandSource::from_pattern(pattern.clone());
     let mut scratch = SlotScratch::new();
     match *spec {
