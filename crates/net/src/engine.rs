@@ -49,9 +49,9 @@
 //! `(spec, fault-pattern)` slot is **delta-repaired** from that base
 //! ([`PreparedSim::repair`], counted in
 //! [`StreamSummary::kernels_repaired`]): only the distance-table columns
-//! (deflection kernels) or route pairs (multi-OPS kernels) the faults can
-//! have moved are recomputed, which is far cheaper than a full rebuild and
-//! bit-identical to one.  A fault-sweep
+//! (deflection kernels) or group pairs' Yen alternates (multi-OPS kernels)
+//! the faults can have moved are recomputed, which is far cheaper than a
+//! full rebuild and bit-identical to one.  A fault-sweep
 //! grid therefore performs exactly one full routing-state construction per
 //! spec plus one cheap repair per non-empty fault pattern — the two
 //! counters the cache tests pin (`built + repaired` = distinct exercised
@@ -65,8 +65,11 @@
 //! cost far more than holding it.  A point-to-point (deflection) kernel is
 //! one distance-only table of one byte per processor pair — about 4 MiB at
 //! n = 2,048 — so a DB(2,11) sweep with six fault patterns holds seven
-//! such tables.  Networks too large for that table (more than
-//! [`DistanceTable::MAX_NODES`] processors) are refused up front with
+//! such tables.  A multi-OPS kernel holds its routes per *group* pair —
+//! about 0.25 MiB at the 80 groups of SK(8,4,3).  Networks too large for
+//! their kernel's table (more than [`DistanceTable::MAX_NODES`] processors
+//! on a point-to-point network, more than [`PreparedMultiOps::MAX_GROUPS`]
+//! groups on a multi-OPS one) are refused up front with
 //! [`NetworkError::KernelTooLarge`].
 //!
 //! ## Fault schedules and mid-run kernel swaps
@@ -100,14 +103,17 @@
 //! it stream rows byte-identical to a grid without the axis, at any thread
 //! count.
 
-use crate::error::NetworkError;
+use crate::error::{KernelCount, NetworkError};
 use crate::network::Network;
 use crate::prepared::{PreparedSim, PreparedTimeline};
 use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use crate::traffic_spec::TrafficSpec;
 use otis_routing::{DistanceTable, FaultSet};
-use otis_sim::{DemandSpec, FaultSchedule, SimMetrics, SimOptions, SlotScratch, WavelengthConfig};
+use otis_sim::{
+    DemandSpec, FaultSchedule, PreparedMultiOps, SimMetrics, SimOptions, SlotScratch,
+    WavelengthConfig,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
@@ -491,8 +497,8 @@ pub struct StreamSummary {
 /// hotspot aimed at a node that does not exist) is a typed error for the
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
 /// overflows `usize` is refused with [`NetworkError::GridTooLarge`], and a
-/// point-to-point network too large for its deflection kernel with
-/// [`NetworkError::KernelTooLarge`].
+/// network too large for its kernel (a point-to-point network's processors
+/// or a multi-OPS network's groups) with [`NetworkError::KernelTooLarge`].
 ///
 /// The delivered row sequence is independent of the thread count: cells are
 /// self-contained (own RNG seed, own simulator instance) and workers hand
@@ -523,18 +529,33 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         .iter()
         .map(|&spec| Network::new(spec))
         .collect::<Result<_, _>>()?;
-    // A deflection kernel holds one all-pairs distance table, which cannot
-    // store more than `DistanceTable::MAX_NODES` processors: refuse such a
-    // network here rather than abort inside a worker.
-    if let Some(network) = networks
-        .iter()
-        .find(|network| !network.is_multi_ops() && network.node_count() > DistanceTable::MAX_NODES)
-    {
-        return Err(NetworkError::KernelTooLarge {
-            network: network.name(),
-            nodes: network.node_count(),
-            limit: DistanceTable::MAX_NODES,
-        });
+    // A deflection kernel holds one all-pairs distance table over the
+    // processors, a multi-OPS kernel one route table over the quotient's
+    // groups: refuse a network either cannot hold here rather than abort
+    // inside a worker.
+    for network in &networks {
+        let (counted, nodes, limit) = if network.is_multi_ops() {
+            let groups = network
+                .spec()
+                .fault_domain_size()
+                .expect("Network::new validated the spec");
+            (KernelCount::Groups, groups, PreparedMultiOps::MAX_GROUPS)
+        } else {
+            let processors = network.node_count();
+            (
+                KernelCount::Processors,
+                processors,
+                DistanceTable::MAX_NODES,
+            )
+        };
+        if nodes > limit {
+            return Err(NetworkError::KernelTooLarge {
+                network: network.name(),
+                counted,
+                nodes,
+                limit,
+            });
+        }
     }
 
     // Bind every non-empty schedule against every (spec, fault-pattern)
@@ -1395,10 +1416,37 @@ mod tests {
             err,
             NetworkError::KernelTooLarge {
                 network: "DB(2,16)".into(),
+                counted: KernelCount::Processors,
                 nodes: 65_536,
                 limit: DistanceTable::MAX_NODES,
             }
         );
+        let mut sink = RecordingSink::default();
+        run_grid_streaming(&grid, 2, &mut sink).unwrap_err();
+        assert_eq!(sink.started, 0);
+    }
+
+    #[test]
+    fn oversized_multi_ops_quotients_are_a_typed_error_before_any_cell_runs() {
+        // SK(1,2,15) has 49,152 groups, more than a multi-OPS kernel's
+        // group route table may hold; the engine refuses it before the
+        // sink starts, naming groups rather than processors.  The largest
+        // quotient any test, example or benchmark grid uses, POPS(300,300)'s
+        // 300 groups, stays far below the limit.
+        let grid = ScenarioGrid::new(vec!["SK(1,2,15)".parse().unwrap()])
+            .loads(&[0.3])
+            .slots(1);
+        let err = run_grid(&grid, 2).unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::KernelTooLarge {
+                network: "SK(1,2,15)".into(),
+                counted: KernelCount::Groups,
+                nodes: 49_152,
+                limit: PreparedMultiOps::MAX_GROUPS,
+            }
+        );
+        assert!(err.to_string().contains("49152 groups"), "{err}");
         let mut sink = RecordingSink::default();
         run_grid_streaming(&grid, 2, &mut sink).unwrap_err();
         assert_eq!(sink.started, 0);

@@ -133,18 +133,35 @@ pub enum NetworkError {
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
     Schedule(otis_sim::FaultScheduleError),
-    /// A point-to-point network has more processors than its deflection
-    /// kernel's all-pairs distance table can store
-    /// (`otis_routing::DistanceTable::MAX_NODES`).  The scenario engine
-    /// reports this before any cell runs.
+    /// A network is too large for its simulation kernel: a point-to-point
+    /// network has more processors than its deflection kernel's all-pairs
+    /// distance table can store (`otis_routing::DistanceTable::MAX_NODES`),
+    /// or a multi-OPS network more groups than its kernel's group-level
+    /// route table may hold (`otis_sim::PreparedMultiOps::MAX_GROUPS`).
+    /// The scenario engine reports this before any cell runs.
     KernelTooLarge {
         /// The network's name.
         network: String,
-        /// Its processor count.
+        /// What `nodes` and `limit` count.
+        counted: KernelCount,
+        /// Its processor count (deflection kernels) or group count
+        /// (multi-OPS kernels).
         nodes: usize,
-        /// The largest processor count a deflection kernel supports.
+        /// The largest count the kernel supports.
         limit: usize,
     },
+}
+
+/// What a [`NetworkError::KernelTooLarge`] counted: the nodes of the graph
+/// its kernel tabulates all pairs of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelCount {
+    /// Processors — a deflection kernel's distance table is per processor
+    /// pair.
+    Processors,
+    /// Quotient groups — a multi-OPS kernel's route table is per group
+    /// pair.
+    Groups,
 }
 
 impl fmt::Display for NetworkError {
@@ -177,13 +194,22 @@ impl fmt::Display for NetworkError {
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
             NetworkError::KernelTooLarge {
                 network,
+                counted,
                 nodes,
                 limit,
-            } => write!(
-                f,
-                "{network} has {nodes} processors, too many to simulate: a deflection \
-                 kernel's distance table holds at most {limit}"
-            ),
+            } => {
+                let (unit, table) = match counted {
+                    KernelCount::Processors => {
+                        ("processors", "a deflection kernel's distance table")
+                    }
+                    KernelCount::Groups => ("groups", "a multi-OPS kernel's group route table"),
+                };
+                write!(
+                    f,
+                    "{network} has {nodes} {unit}, too many to simulate: {table} \
+                     holds at most {limit}"
+                )
+            }
         }
     }
 }
@@ -275,11 +301,20 @@ mod tests {
         assert!(sched.to_string().contains('9'), "{sched}");
         let kernel = NetworkError::KernelTooLarge {
             network: "DB(2,16)".into(),
+            counted: KernelCount::Processors,
             nodes: 65_536,
             limit: 65_535,
         };
         assert!(kernel.to_string().contains("DB(2,16)"), "{kernel}");
-        assert!(kernel.to_string().contains("65536"), "{kernel}");
+        assert!(kernel.to_string().contains("65536 processors"), "{kernel}");
         assert!(kernel.to_string().contains("65535"), "{kernel}");
+        let groups = NetworkError::KernelTooLarge {
+            network: "SK(1,2,15)".into(),
+            counted: KernelCount::Groups,
+            nodes: 49_152,
+            limit: 8_191,
+        };
+        assert!(groups.to_string().contains("49152 groups"), "{groups}");
+        assert!(groups.to_string().contains("multi-OPS"), "{groups}");
     }
 }

@@ -19,9 +19,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Prepares the slotted multi-OPS kernel over a shared stack-graph network
 /// under the given quotient-level faults (see
-/// [`crate::SimOptions::faults`]): the fault-filtered quotient routing table,
-/// the flat all-pairs route layout and — when `alt_paths > 1` — the Yen
-/// alternate-route table are built once, here.
+/// [`crate::SimOptions::faults`]): the fault-filtered quotient routing table
+/// and the group-level route table — primaries and, when `alt_paths > 1`,
+/// Yen alternates — are built once, here.
 fn prepare_multi_ops(stack: &Arc<StackGraph>, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
     PreparedSim::MultiOps(PreparedMultiOps::with_alternates(
         stack.clone(),

@@ -117,7 +117,7 @@ pub use engine::{
     default_thread_count, reorder_window, run_grid, run_grid_streaming, GridWarning, ScenarioGrid,
     ScenarioRow, StreamSummary,
 };
-pub use error::{NetworkError, SpecError};
+pub use error::{KernelCount, NetworkError, SpecError};
 pub use family::NetworkFamily;
 pub use network::Network;
 pub use otis_routing::FaultSet;

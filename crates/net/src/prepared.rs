@@ -110,8 +110,8 @@ impl PreparedSim {
     }
 
     /// Structural equality of the routing state underneath — distance
-    /// tables for hot-potato kernels; flat routes and Yen alternates for
-    /// multi-OPS kernels.  The bit-identity oracle of the delta-repair
+    /// tables for hot-potato kernels; the group-level route table, primaries
+    /// and Yen alternates, for multi-OPS kernels.  The bit-identity oracle of the delta-repair
     /// acceptance tests; hidden from docs (not part of the simulation
     /// surface).  Kernels of different families are never equal.
     #[doc(hidden)]

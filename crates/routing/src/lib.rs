@@ -52,5 +52,5 @@ pub use hot_potato::HotPotatoRouter;
 pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};
 pub use kautz::{kautz_route, kautz_route_words};
 pub use pops::{PopsRouter, SlotSchedule};
-pub use stack::{StackHop, StackRoute, StackRouter};
+pub use stack::{hop_receiver, StackHop, StackRoute, StackRouter};
 pub use table::RoutingTable;

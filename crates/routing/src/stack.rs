@@ -6,8 +6,8 @@
 //! of its group's couplers and every processor of the destination group hears
 //! them, routing reduces to routing in the quotient: the group-level path is
 //! computed first (here with a [`RoutingTable`] over the quotient, so any
-//! quotient works), and the in-group destination index only matters at the
-//! final hop.  This is exactly why the paper says the stack-Kautz network
+//! quotient works), and the in-group destination index only picks each
+//! hop's receiver ([`hop_receiver`]).  This is exactly why the paper says the stack-Kautz network
 //! "inherits" the Kautz graph's shortest-path routing.
 
 use crate::fault_tolerant::{surviving_subgraph, FaultSet};
@@ -48,6 +48,29 @@ impl StackRoute {
     }
 }
 
+/// The receiver rule of every stack-graph route: a hop into `group` is
+/// received by the destination `dst` itself when it is the route's last hop,
+/// and otherwise by the processor of `group` whose in-group index is the
+/// destination's, `dst_index`.  Any processor of the group would do — the
+/// coupler broadcast reaches the whole group — and this deterministic choice
+/// makes routes reproducible.  Processors are numbered group by group, so
+/// that processor is `group · stacking_factor + dst_index`.  A route is
+/// therefore fixed by its couplers and its destination.
+#[inline]
+pub fn hop_receiver(
+    stacking_factor: usize,
+    group: NodeId,
+    dst: NodeId,
+    dst_index: usize,
+    last: bool,
+) -> NodeId {
+    if last {
+        dst
+    } else {
+        group * stacking_factor + dst_index
+    }
+}
+
 /// A router for one stack-graph network.
 ///
 /// The stack-graph is held behind an [`Arc`], so long-lived prepared
@@ -82,9 +105,9 @@ impl StackRouter {
     /// already-shared stack-graph without copying any graph data — only the
     /// quotient routing table is computed (over the surviving quotient when
     /// faults are present).  This is the constructor prepared simulation
-    /// kernels use, for every fault set: the quotient has one node per
-    /// group, so its table is cheap next to the per-processor route tables
-    /// built on top of it.
+    /// kernels use, for every fault set: the table has one entry per group
+    /// pair, the same order as the group-level route tables the kernels
+    /// build from it.
     pub fn from_shared(stack: Arc<StackGraph>, faults: FaultSet) -> Self {
         let quotient_table = if faults.is_empty() {
             RoutingTable::new(stack.quotient())
@@ -114,76 +137,79 @@ impl StackRouter {
         &self.stack
     }
 
-    /// The group-level routing table over the surviving quotient.
-    pub fn quotient_table(&self) -> &RoutingTable {
-        &self.quotient_table
-    }
-
-    /// Routes from processor `src` to processor `dst` (flat identifiers).
-    ///
-    /// Intermediate hops are received by the processor of the intermediate
-    /// group whose in-group index equals the destination's index (any choice
-    /// would do — the coupler broadcast reaches the whole group — and this
-    /// deterministic choice makes routes reproducible).  Returns `None` when
-    /// the quotient offers no path.
+    /// Routes from processor `src` to processor `dst` (flat identifiers):
+    /// [`StackRouter::group_path`] between their groups, materialised by
+    /// [`StackRouter::route_via_groups`].  Returns `None` when an endpoint's
+    /// group has failed or the quotient offers no path.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<StackRoute> {
-        let src_sn = self.stack.to_stack_node(src);
-        let dst_sn = self.stack.to_stack_node(dst);
-        if self.faults.node_failed(src_sn.group) || self.faults.node_failed(dst_sn.group) {
-            return None;
-        }
+        let src_group = self.stack.to_stack_node(src).group;
+        let dst_group = self.stack.to_stack_node(dst).group;
         if src == dst {
-            return Some(StackRoute {
+            return (!self.faults.node_failed(src_group)).then(|| StackRoute {
                 source: src,
                 destination: dst,
                 hops: Vec::new(),
             });
         }
-
-        // Same group, different processor: one hop over the group's loop
-        // coupler if the quotient has one, otherwise route around.
-        let quotient = self.stack.quotient();
-        let mut group_path: Vec<NodeId> = if src_sn.group == dst_sn.group {
-            if quotient.has_arc(src_sn.group, src_sn.group)
-                && !self.faults.blocks(src_sn.group, src_sn.group)
-            {
-                vec![src_sn.group, src_sn.group]
-            } else {
-                // No usable loop coupler: go out and come back via the quotient.
-                let out = self.quotient_table.route(src_sn.group, dst_sn.group)?;
-                if out.len() == 1 {
-                    // Route of length 0 but no loop: find a neighbour to bounce off.
-                    let via = quotient
-                        .out_neighbors(src_sn.group)
-                        .iter()
-                        .copied()
-                        .find(|&v| !self.faults.blocks(src_sn.group, v))?;
-                    let back = self.quotient_table.route(via, dst_sn.group)?;
-                    let mut p = vec![src_sn.group];
-                    p.extend(back);
-                    p
-                } else {
-                    out
-                }
-            }
-        } else {
-            self.quotient_table.route(src_sn.group, dst_sn.group)?
-        };
-
-        // Degenerate safety: ensure the path starts at the source group.
-        debug_assert_eq!(group_path.first(), Some(&src_sn.group));
-        if group_path.len() == 1 {
-            group_path.push(dst_sn.group);
-        }
-
+        let group_path = self.group_path(src_group, dst_group)?;
         self.route_via_groups(src, dst, &group_path)
+    }
+
+    /// The quotient path from any processor of `src_group` to a *different*
+    /// processor of `dst_group`: the shortest path of the surviving quotient
+    /// between distinct groups, and within one group the group's loop
+    /// coupler if the quotient has a usable one, otherwise a bounce off the
+    /// first reachable neighbour.  Which processors of the groups are
+    /// involved never matters, which is why routing reduces to the
+    /// quotient.  Returns `None` when either group has failed or the faults
+    /// disconnect them.
+    pub fn group_path(&self, src_group: NodeId, dst_group: NodeId) -> Option<Vec<NodeId>> {
+        if self.faults.node_failed(src_group) || self.faults.node_failed(dst_group) {
+            return None;
+        }
+        let quotient = self.stack.quotient();
+        if src_group != dst_group {
+            self.quotient_table.route(src_group, dst_group)
+        } else if quotient.has_arc(src_group, src_group)
+            && !self.faults.blocks(src_group, src_group)
+        {
+            Some(vec![src_group, src_group])
+        } else {
+            // No usable loop coupler: go out and come back via the quotient.
+            let via = quotient
+                .out_neighbors(src_group)
+                .iter()
+                .copied()
+                .find(|&v| !self.faults.blocks(src_group, v))?;
+            let mut path = vec![src_group];
+            path.extend(self.quotient_table.route(via, dst_group)?);
+            Some(path)
+        }
+    }
+
+    /// The couplers that realise `group_path`, one per consecutive pair:
+    /// the first quotient arc between them (parallel arcs are
+    /// interchangeable).  Returns `None` when a consecutive pair is not a
+    /// quotient arc.
+    pub fn couplers_via_groups(&self, group_path: &[NodeId]) -> Option<Vec<usize>> {
+        let quotient = self.stack.quotient();
+        group_path
+            .windows(2)
+            .map(|w| {
+                quotient
+                    .out_arc_ids(w[0])
+                    .iter()
+                    .copied()
+                    .find(|&id| quotient.arc(id).unwrap().target == w[1])
+            })
+            .collect()
     }
 
     /// Materialises the hop sequence that realises `group_path` (a quotient
     /// path starting at `src`'s group and ending at `dst`'s group) as a route
-    /// from processor `src` to processor `dst`.  Intermediate receivers use
-    /// the same deterministic in-group choice as [`StackRouter::route`]; the
-    /// last hop delivers to `dst` itself.
+    /// from processor `src` to processor `dst`: the couplers of
+    /// [`StackRouter::couplers_via_groups`], received as [`hop_receiver`]
+    /// prescribes.
     ///
     /// This is the building block for *alternate* routing: callers obtain
     /// extra group-level paths (e.g. with Yen's k-shortest-path on the
@@ -195,35 +221,24 @@ impl StackRouter {
         dst: NodeId,
         group_path: &[NodeId],
     ) -> Option<StackRoute> {
-        let s = self.stack.stacking_factor();
         let dst_sn = self.stack.to_stack_node(dst);
-        let quotient = self.stack.quotient();
         debug_assert_eq!(
             group_path.first(),
             Some(&self.stack.to_stack_node(src).group)
         );
         debug_assert_eq!(group_path.last(), Some(&dst_sn.group));
-        let mut hops = Vec::with_capacity(group_path.len().saturating_sub(1));
-        for w in group_path.windows(2) {
-            let (from, to) = (w[0], w[1]);
-            // The coupler is the quotient arc from `from` to `to`; use the
-            // first matching arc id (parallel arcs are interchangeable).
-            let coupler = quotient
-                .out_arc_ids(from)
-                .iter()
-                .copied()
-                .find(|&id| quotient.arc(id).unwrap().target == to)?;
-            let receiver_group = to;
-            let receiver = self.stack.to_flat(otis_graphs::StackNode::new(
-                dst_sn.index.min(s - 1),
-                receiver_group,
-            ));
-            hops.push(StackHop { coupler, receiver });
-        }
-        // The last hop must deliver to the actual destination processor.
-        if let Some(last) = hops.last_mut() {
-            last.receiver = dst;
-        }
+        let s = self.stack.stacking_factor();
+        let last = group_path.len().saturating_sub(2);
+        let hops = self
+            .couplers_via_groups(group_path)?
+            .into_iter()
+            .zip(&group_path[1..])
+            .enumerate()
+            .map(|(i, (coupler, &group))| StackHop {
+                coupler,
+                receiver: hop_receiver(s, group, dst, dst_sn.index, i == last),
+            })
+            .collect();
         Some(StackRoute {
             source: src,
             destination: dst,

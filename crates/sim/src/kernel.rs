@@ -44,8 +44,8 @@ use rand::{Rng, SeedableRng};
 /// The per-run mutable core shared by both simulators: seeded RNG, metrics
 /// accumulator and the injection identifier counter.  Everything else a
 /// simulator needs per run (queues, port masks, message buffers) is its own
-/// reusable scratch state; everything immutable (graphs, routing tables,
-/// flat route layouts) lives in the prepared kernel.
+/// reusable scratch state; everything immutable (graphs, routing and
+/// route tables) lives in the prepared kernel.
 #[derive(Debug)]
 pub struct RunCore {
     /// The run's RNG; traffic generation, arbitration and deflection

@@ -44,9 +44,10 @@
 //!   hot-potato kernels, a distance-only table of one byte per processor
 //!   pair ([`otis_routing::DistanceTable`], 4 MiB at 2,048 processors,
 //!   shared between clones), or for multi-OPS kernels the quotient routing
-//!   table and a flat CSR-style table of every source/destination route —
-//!   built once per `(network, fault-pattern)` pair and shareable across
-//!   threads (`Send + Sync`);
+//!   table and a table of coupler sequences per *group* pair (a group's
+//!   processors share its couplers) — built once per
+//!   `(network, fault-pattern)` pair and shareable across threads
+//!   (`Send + Sync`);
 //! * each kernel has exactly one run entry point,
 //!   `run(timeline, demand, options, scratch)`
 //!   ([`PreparedHotPotato::run`], [`PreparedMultiOps::run`]): an optional
@@ -65,9 +66,9 @@
 //! A fault pattern's kernel does not have to be built from scratch: both
 //! kernels have `repair_from` constructors that derive it from the
 //! fault-free base by **delta repair** — only the distance-table columns
-//! (deflection kernels) or route pairs (multi-OPS kernels) the faults can
-//! have moved are recomputed, and the result is bit-identical to a
-//! from-scratch build.  A fault-sweep grid therefore
+//! (deflection kernels) or group pairs' Yen alternates (multi-OPS kernels)
+//! the faults can have moved are recomputed, and the result is
+//! bit-identical to a from-scratch build.  A fault-sweep grid therefore
 //! pays full routing-state construction once per network and a much
 //! cheaper repair per fault pattern; `otis_net::engine` derives its cached
 //! kernels exactly this way.

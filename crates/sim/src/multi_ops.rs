@@ -18,13 +18,16 @@
 //! The simulator is split into *prepare* and *execute* phases:
 //!
 //! * [`PreparedMultiOps`] is the immutable kernel — the fault-filtered
-//!   [`StackRouter`] quotient plus a flat CSR-style table of every
-//!   source/destination route (one contiguous [`StackHop`] slice per pair),
-//!   built once per `(stack-graph, fault-pattern)` pair.  A fault pattern's
-//!   kernel — a timeline epoch's too — can also be *delta-repaired* from
-//!   the fault-free base ([`PreparedMultiOps::repair_from`]): only the
-//!   route pairs the faults can have moved are recomputed, and the result
-//!   is bit-identical to building from scratch;
+//!   [`StackRouter`] quotient plus one flat table of coupler sequences per
+//!   *group* pair (the primary route, then any Yen alternates), built once
+//!   per `(stack-graph, fault-pattern)` pair.  The processors of a group
+//!   share its couplers, so a route is fixed by its source and destination
+//!   groups, and each hop's receiver follows from the coupler and the
+//!   destination ([`otis_routing::hop_receiver`]): the kernel is `O(G²)` in
+//!   the group count `G`, not `O(n²)` in the processor count.  A fault
+//!   pattern's kernel — a timeline epoch's too — is derived from the
+//!   fault-free base with [`PreparedMultiOps::repair_from`], bit-identical
+//!   to building it from scratch;
 //! * [`PreparedMultiOps::run`] — the kernel's one run entry point — owns
 //!   only per-run mutable state (in a caller-owned
 //!   [`crate::kernel::SlotScratch`]) and drives the shared
@@ -46,22 +49,20 @@ use crate::options::SimOptions;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
-use otis_routing::{FaultSet, StackHop, StackRouter};
+use otis_routing::{hop_receiver, FaultSet, StackHop, StackRouter};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-flight routing state of the slot loop, parallel arrays indexed by
 /// [`MessageArena`] handle (the arena itself holds the message columns —
 /// destination, injection slot, hops).  A flight's route is *not* carried
-/// along: it lives in the kernel's flat route tables, identified by
-/// `(route_src, alt)` — the primary route from `route_src` when `alt == 0`
-/// (for never-rerouted traffic `route_src` is the original source), or the
-/// `(alt-1)`-th prepared alternate from `route_src` after an
-/// alternate-routing event.  `next_hop` is the position reached within that
-/// route slice and `holder` the processor currently holding the message.
+/// along: it lives in the kernel's group-level route table, identified by
+/// its route id, one of the ids of the flight's group pair.  `next_hop` is
+/// the position reached within that route and `holder` the processor
+/// currently holding the message.
 #[derive(Debug, Default)]
 pub(crate) struct FlightState {
-    route_src: Vec<u32>,
-    alt: Vec<u32>,
+    route: Vec<u32>,
     next_hop: Vec<u32>,
     holder: Vec<u32>,
 }
@@ -69,29 +70,22 @@ pub(crate) struct FlightState {
 impl FlightState {
     /// Initialises the state of a freshly injected flight at `handle`,
     /// growing the arrays if the arena handed out a new slot.
-    fn init(&mut self, handle: u32, src: usize) {
+    fn init(&mut self, handle: u32, src: usize, route: usize) {
         let i = handle as usize;
-        if i >= self.route_src.len() {
+        if i >= self.route.len() {
             let len = i + 1;
-            self.route_src.resize(len, 0);
-            self.alt.resize(len, 0);
+            self.route.resize(len, 0);
             self.next_hop.resize(len, 0);
             self.holder.resize(len, 0);
         }
-        self.route_src[i] = src as u32;
-        self.alt[i] = 0;
+        self.route[i] = route as u32;
         self.next_hop[i] = 0;
         self.holder[i] = src as u32;
     }
 
     #[inline]
-    fn route_src(&self, handle: u32) -> usize {
-        self.route_src[handle as usize] as usize
-    }
-
-    #[inline]
-    fn alt(&self, handle: u32) -> usize {
-        self.alt[handle as usize] as usize
+    fn route(&self, handle: u32) -> usize {
+        self.route[handle as usize] as usize
     }
 
     #[inline]
@@ -104,11 +98,10 @@ impl FlightState {
         self.holder[handle as usize] as usize
     }
 
-    /// Re-roots the flight onto the `(alt-1)`-th alternate from `route_src`.
+    /// Re-roots the flight onto another route of the kernel's table.
     #[inline]
-    fn set_route(&mut self, handle: u32, route_src: usize, alt: usize) {
-        self.route_src[handle as usize] = route_src as u32;
-        self.alt[handle as usize] = alt as u32;
+    fn set_route(&mut self, handle: u32, route: usize) {
+        self.route[handle as usize] = route as u32;
     }
 
     /// Advances the flight one hop: new position within its route and new
@@ -123,8 +116,7 @@ impl FlightState {
     /// regrow as the arena hands out handles, exactly as a fresh state
     /// would.
     fn clear(&mut self) {
-        self.route_src.clear();
-        self.alt.clear();
+        self.route.clear();
         self.next_hop.clear();
         self.holder.clear();
     }
@@ -163,237 +155,130 @@ impl OpsScratch {
     }
 }
 
-/// All routes of one prepared network, flattened CSR-style: the hops of the
-/// route from `src` to `dst` are the contiguous slice
-/// `hops[offsets[src·n + dst] .. offsets[src·n + dst + 1]]`.  Pairs the
-/// (fault-filtered) quotient cannot connect are marked unreachable.  Memory
-/// is `O(n² · diameter)` — the same order as the routing tables already
-/// underneath — and lookups are two loads, so the injection path of the
-/// slot loop does no route computation and no allocation.
+/// Every route of one prepared network, keyed by group pair and stored as
+/// coupler sequences.  The routes of the pair `(src_group, dst_group)`
+/// have the ids `first[pair] .. first[pair + 1]` with
+/// `pair = src_group · groups + dst_group`: the primary route
+/// ([`StackRouter::group_path`]) first, then the Yen alternates best
+/// first; the range is empty when the faults cut the pair off.  Route `r`
+/// uses the couplers `couplers[offsets[r] .. offsets[r + 1]]`.  A route
+/// between distinct processors always has at least one hop; a processor
+/// never routes to itself.  Memory is `O(G² · alt_paths · diameter)` for
+/// `G` groups, plus the group of each processor and the target group of
+/// each coupler, which spare the slot loop a division per lookup and per
+/// receiver.
 #[derive(Debug, Clone, PartialEq)]
-struct FlatRoutes {
-    n: usize,
+struct GroupRoutes {
+    stacking_factor: usize,
+    groups: usize,
+    group_of: Vec<u32>,
+    coupler_group: Vec<u32>,
+    first: Vec<usize>,
     offsets: Vec<usize>,
-    reachable: Vec<bool>,
-    hops: Vec<StackHop>,
+    couplers: Vec<u32>,
 }
 
-impl FlatRoutes {
-    /// The hop slice of the route from `src` to `dst`; `None` when the pair
-    /// is unreachable (a failed endpoint group or a disconnected quotient),
-    /// `Some(&[])` when `src == dst`.
-    fn get(&self, src: usize, dst: usize) -> Option<&[StackHop]> {
-        let pair = src * self.n + dst;
-        self.reachable[pair].then(|| &self.hops[self.offsets[pair]..self.offsets[pair + 1]])
-    }
-
-    /// Precomputes every route of `router`, in source-major order, copying
-    /// from the `base` kernel every route the change of faults provably
-    /// cannot have moved; with no base every route is computed.
-    ///
-    /// A destination group's routes can be copied when the group is live
-    /// and its quotient column agrees with the base's — next hop and
-    /// distance — on every live row.  A cross-group route from a live group
-    /// only follows next hops through live groups (a failed group cannot
-    /// reach anything), so it retraces the base's group path, and
-    /// [`StackRouter::route_via_groups`] turns equal group paths into equal
-    /// hops.  A pair is copied when its groups are distinct, its source
-    /// group is live and its destination group's column can be copied;
-    /// every other pair goes through `router`.  The result is bit-identical
-    /// to a build with no base.
-    fn repaired(router: &StackRouter, base: Option<&PreparedMultiOps>) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let groups = stack.quotient().node_count();
-        let faults = router.faults();
-        let group_of: Vec<usize> = (0..n).map(|p| stack.to_stack_node(p).group).collect();
-        let live: Vec<bool> = (0..groups).map(|g| !faults.node_failed(g)).collect();
-        let table = router.quotient_table();
-        let copyable: Vec<bool> = (0..groups)
-            .map(|gd| {
-                base.is_some_and(|base| {
-                    let base_table = base.router.quotient_table();
-                    live[gd]
-                        && (0..groups).all(|u| {
-                            !live[u]
-                                || (table.next_hop(u, gd) == base_table.next_hop(u, gd)
-                                    && table.distance(u, gd) == base_table.distance(u, gd))
-                        })
-                })
-            })
-            .collect();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops: Vec<StackHop> = Vec::new();
-        for src in 0..n {
-            let gs = group_of[src];
-            for (dst, &gd) in group_of.iter().enumerate() {
-                let reached = match base {
-                    Some(base) if gs != gd && live[gs] && copyable[gd] => base
-                        .routes
-                        .get(src, dst)
-                        .map(|slice| hops.extend_from_slice(slice)),
-                    _ => router.route(src, dst).map(|route| hops.extend(route.hops)),
-                };
-                reachable.push(reached.is_some());
-                offsets.push(hops.len());
-            }
-        }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
+impl GroupRoutes {
+    /// An empty table for the groups of `stack`.
+    fn new(stack: &StackGraph) -> Self {
+        let stacking_factor = stack.stacking_factor();
+        let groups = stack.group_count();
+        let mut first = Vec::with_capacity(groups * groups + 1);
+        first.push(0);
+        GroupRoutes {
+            stacking_factor,
+            groups,
+            group_of: (0..stack.node_count())
+                .map(|p| (p / stacking_factor) as u32)
+                .collect(),
+            coupler_group: stack
+                .quotient()
+                .arcs()
+                .iter()
+                .map(|arc| arc.target as u32)
+                .collect(),
+            first,
+            offsets: vec![0],
+            couplers: Vec::new(),
         }
     }
-}
 
-/// Alternate routes for every source/destination pair, precomputed at
-/// prepare time with Yen's k-shortest-path on the (fault-filtered) quotient
-/// and materialised into concrete hop sequences.  The primary route is
-/// excluded; entry order is best-first.  Empty when the kernel was prepared
-/// with `alt_paths <= 1`.
-#[derive(Debug, Clone, Default)]
-struct AltRoutes {
-    n: usize,
-    /// `routes[src · n + dst]`: alternate hop sequences, best first.
-    routes: Vec<Vec<Vec<StackHop>>>,
-    /// Group-pair cache of the loopless quotient paths the alternates were
-    /// materialised from (`group_paths[sg · groups + dg]`, `None` when the
-    /// pair was never needed).  Kept on the fault-free base so delta repair
-    /// can decide per group pair whether the faults can have perturbed the
-    /// Yen enumeration at all — see [`AltRoutes::repaired`].
-    group_paths: Vec<Option<Vec<Vec<usize>>>>,
-}
+    /// Appends a route to the group pair under construction.
+    fn push(&mut self, couplers: &[u32]) {
+        self.couplers.extend_from_slice(couplers);
+        self.offsets.push(self.couplers.len());
+    }
 
-/// Routing-visible equality: the prepared alternates per pair.  The
-/// `group_paths` cache is deliberately excluded — a repaired table carries
-/// a partial cache (only the group pairs it recomputed), which is invisible
-/// to run behaviour.
-impl PartialEq for AltRoutes {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.routes == other.routes
+    /// Closes the group pair under construction.
+    fn end_pair(&mut self) {
+        self.first.push(self.offsets.len() - 1);
+    }
+
+    /// The route ids of group pair `pair`, primary first.
+    fn of_pair(&self, pair: usize) -> Range<usize> {
+        self.first[pair]..self.first[pair + 1]
+    }
+
+    /// The route ids of the processor pair `(src, dst)`'s group pair.
+    #[inline]
+    fn between(&self, src: usize, dst: usize) -> Range<usize> {
+        let pair = self.group_of[src] as usize * self.groups + self.group_of[dst] as usize;
+        self.of_pair(pair)
+    }
+
+    /// The processor receiving a hop over `coupler` of a flight to `dst`,
+    /// the route's `last` hop or not: [`hop_receiver`] into the coupler's
+    /// target group.
+    #[inline]
+    fn receiver(&self, coupler: usize, dst: usize, last: bool) -> usize {
+        let s = self.stacking_factor;
+        let dst_index = dst - self.group_of[dst] as usize * s;
+        hop_receiver(
+            s,
+            self.coupler_group[coupler] as usize,
+            dst,
+            dst_index,
+            last,
+        )
+    }
+
+    /// The primary route id from `src` to `dst`; `None` when the pair is
+    /// unreachable (a failed endpoint group or a disconnected quotient) or
+    /// `src == dst`, so the flight is never routed.
+    #[inline]
+    fn primary(&self, src: usize, dst: usize) -> Option<usize> {
+        let routes = self.between(src, dst);
+        (src != dst && !routes.is_empty()).then_some(routes.start)
+    }
+
+    /// The alternate route ids from `src` to `dst`, best first.
+    fn alternates(&self, src: usize, dst: usize) -> Range<usize> {
+        let routes = self.between(src, dst);
+        (routes.start + 1).min(routes.end)..routes.end
+    }
+
+    /// The couplers of route `route`.
+    #[inline]
+    fn couplers(&self, route: usize) -> &[u32] {
+        &self.couplers[self.offsets[route]..self.offsets[route + 1]]
     }
 }
 
-impl AltRoutes {
-    /// Precomputes up to `alt_paths - 1` alternates per pair (so primary
-    /// plus alternates total at most `alt_paths` routes), copying from the
-    /// fault-free `base` kernel every pair the faults provably cannot have
-    /// perturbed; with no base (or a base prepared without alternates)
-    /// every pair is computed.  Group-level Yen paths are computed once per
-    /// group pair and materialised per processor pair, keeping the Yen cost
-    /// `O(groups²)` instead of `O(n²)`.  The result is bit-identical to a
-    /// build with no base.
-    ///
-    /// A pair is copied when both hold:
-    ///
-    /// * *its group pair's Yen enumeration is provably undisturbed* — every
-    ///   loopless quotient path the fault-free Yen run accepted for
-    ///   `(sg, dg)` stays clear of the faults.  The faulted enumeration sees
-    ///   the same graph along every path it would accept (removing arcs can
-    ///   only delay BFS arrivals, never create earlier ones, so a fault-free
-    ///   spur result is stable), hence returns the same list;
-    /// * *its primary route is byte-identical* to the base's — the
-    ///   primary-exclusion test of the materialisation then filters the same
-    ///   entries ([`StackRouter::route_via_groups`] is purely structural, so
-    ///   identical group paths materialise identically under both routers).
-    fn repaired(
-        router: &StackRouter,
-        primary: &FlatRoutes,
-        alt_paths: usize,
-        base: Option<&PreparedMultiOps>,
-    ) -> Self {
-        let base = base.filter(|base| !base.alts.routes.is_empty());
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let quotient = stack.quotient();
-        let groups = quotient.node_count();
-        let faults = router.faults();
-        // Per group pair: does every base Yen path avoid the faults?
-        // (`None` until first queried.)
-        let mut undisturbed: Vec<Option<bool>> = vec![None; groups * groups];
-        // Lazy cache of this router's Yen enumerations, for computed pairs.
-        let mut group_paths: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            for dst in 0..n {
-                let Some(primary_hops) = primary.get(src, dst).filter(|_| src != dst) else {
-                    routes.push(Vec::new());
-                    continue;
-                };
-                let sg = stack.to_stack_node(src).group;
-                let dg = stack.to_stack_node(dst).group;
-                let pair = sg * groups + dg;
-                if let Some(base) = base {
-                    let clean = *undisturbed[pair].get_or_insert_with(|| {
-                        base.alts.group_paths[pair].as_ref().is_some_and(|paths| {
-                            paths
-                                .iter()
-                                .all(|p| p.windows(2).all(|w| !faults.blocks(w[0], w[1])))
-                        })
-                    });
-                    if clean && Some(primary_hops) == base.routes.get(src, dst) {
-                        routes.push(base.alts.routes[src * n + dst].clone());
-                        continue;
-                    }
-                }
-                let paths = group_paths[pair].get_or_insert_with(|| {
-                    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| {
-                        faults.node_failed(u) || faults.node_failed(v) || faults.blocks(u, v)
-                    })
-                });
-                let mut alts = Vec::new();
-                for group_path in paths.iter() {
-                    if group_path.len() < 2 {
-                        continue;
-                    }
-                    let Some(route) = router.route_via_groups(src, dst, group_path) else {
-                        continue;
-                    };
-                    if route.hops.as_slice() == primary_hops {
-                        continue;
-                    }
-                    alts.push(route.hops);
-                    if alts.len() + 1 >= alt_paths {
-                        break;
-                    }
-                }
-                routes.push(alts);
-            }
-        }
-        AltRoutes {
-            n,
-            routes,
-            group_paths,
-        }
-    }
-
-    /// Whether any pair has at least one alternate.
-    fn has_any(&self) -> bool {
-        self.routes.iter().any(|r| !r.is_empty())
-    }
-
-    /// The alternates from `src` to `dst`, best first (empty when none were
-    /// prepared).
-    fn get(&self, src: usize, dst: usize) -> &[Vec<StackHop>] {
-        if self.routes.is_empty() {
-            &[]
-        } else {
-            &self.routes[src * self.n + dst]
-        }
-    }
+/// A coupler sequence in the route table's width.
+fn narrow(couplers: Vec<usize>) -> Vec<u32> {
+    couplers.into_iter().map(|c| c as u32).collect()
 }
 
 /// The immutable, shareable kernel of the multi-OPS simulator: the
-/// fault-filtered [`StackRouter`] (quotient routing table) plus the
-/// `FlatRoutes` table of every source/destination route, and — when
-/// prepared with [`PreparedMultiOps::with_alternates`] — the `AltRoutes`
-/// table of Yen alternates.  Building one is
-/// the expensive part of a simulation; [`PreparedMultiOps::run`] is the
-/// cheap part and can be called any number of times with different seeds,
-/// traffic patterns and slot counts.
+/// fault-filtered [`StackRouter`] (quotient routing table) plus one
+/// group-level table of coupler sequences — for every pair of groups the
+/// primary route and, when prepared with
+/// [`PreparedMultiOps::with_alternates`], the Yen alternates.  Receivers are
+/// derived in the slot loop from each coupler's target group and the
+/// destination, so the kernel holds nothing per processor pair.  Building
+/// one is the expensive part of a simulation; [`PreparedMultiOps::run`] is
+/// the cheap part and can be called any number of times with different
+/// seeds, traffic patterns and slot counts.
 ///
 /// The kernel is `Send + Sync`, so a scenario engine can build it once per
 /// distinct `(stack-graph, fault-pattern)` pair and share it across worker
@@ -401,11 +286,30 @@ impl AltRoutes {
 #[derive(Debug, Clone)]
 pub struct PreparedMultiOps {
     router: StackRouter,
-    routes: FlatRoutes,
-    alts: AltRoutes,
+    routes: GroupRoutes,
+    /// Per group pair, the loopless quotient paths Yen returned when this
+    /// kernel enumerated them (`None` for pairs it copied or never needed);
+    /// empty without alternates.  Kept on the fault-free base so delta
+    /// repair can reuse a pair's alternates — see
+    /// [`PreparedMultiOps::repair_from`].  Invisible to run behaviour.
+    yen_paths: Vec<Option<Vec<Vec<usize>>>>,
 }
 
 impl PreparedMultiOps {
+    /// The largest quotient the scenario engine prepares multi-OPS kernels
+    /// for: 8,191 groups.
+    ///
+    /// The byte budget is that of the largest deflection kernel, a
+    /// `DistanceTable` of `MAX_NODES = 65,535` processors at one byte per
+    /// pair (65,535² B ≈ 4.0 GiB).  A multi-OPS kernel spends at least 64 B
+    /// per group pair: 12 B in the router's quotient table (8 B next hop,
+    /// 4 B distance), 8 B for the pair's first route id, 8 B for the
+    /// primary's coupler offset, and 4 B per coupler for up to 9 hops.
+    /// The budget therefore covers `65,535 / √64 = 8,191` groups;
+    /// alternates only add to the per-pair cost.
+    pub const MAX_GROUPS: usize =
+        otis_routing::DistanceTable::MAX_NODES / (12 + 8 + 8 + 9 * 4usize).isqrt();
+
     /// Prepares a kernel over a shared stack-graph, routing around the given
     /// faults.  The fault set is interpreted over the quotient (see
     /// [`StackRouter::with_faults`]): failed groups neither send nor
@@ -417,7 +321,7 @@ impl PreparedMultiOps {
     }
 
     /// Like [`PreparedMultiOps::new`], but additionally precomputes up to
-    /// `alt_paths - 1` alternate routes per source/destination pair (Yen's
+    /// `alt_paths - 1` alternate routes per pair of groups (Yen's
     /// k-shortest loopless paths on the fault-filtered quotient), for use by
     /// the wavelength-mode slot loop.  `alt_paths <= 1` prepares no
     /// alternates and is exactly [`PreparedMultiOps::new`].
@@ -425,17 +329,22 @@ impl PreparedMultiOps {
         Self::build(StackRouter::from_shared(stack, faults), None, alt_paths)
     }
 
-    /// Derives the kernel for `faults` from a fault-free base kernel by
-    /// delta-repair instead of rebuilding from scratch — the one way a
-    /// faulted or timeline-epoch kernel is derived.  The quotient router is
-    /// built fresh (it has one node per group, so it is cheap), and the
-    /// per-processor tables copy from `base` whatever the faults provably
-    /// cannot have moved: `FlatRoutes::repaired` keeps every route towards
-    /// a destination group whose quotient column is unchanged on the live
-    /// rows, and — when `alt_paths > 1` — `AltRoutes::repaired` reruns
-    /// group-level Yen only for group pairs whose fault-free enumeration
-    /// the faults can have disturbed, and materialises only pairs whose Yen
-    /// list or primary route changed.  The result is bit-identical to
+    /// Derives the kernel for `faults` from a fault-free base kernel — the
+    /// one way a faulted or timeline-epoch kernel is derived.  The quotient
+    /// router and every primary route are rebuilt from scratch: both are
+    /// group-level, so this is cheap.  When `alt_paths > 1`, a group pair's
+    /// alternates are copied from `base` when both hold:
+    ///
+    /// * *its Yen enumeration is provably undisturbed* — every loopless
+    ///   quotient path the fault-free Yen run accepted for the pair stays
+    ///   clear of the faults.  The faulted enumeration sees the same graph
+    ///   along every path it would accept (removing arcs can only delay BFS
+    ///   arrivals, never create earlier ones, so a fault-free spur result is
+    ///   stable), hence returns the same list;
+    /// * *its primary route is unchanged* — excluding the primary from the
+    ///   Yen list then drops the same entry.
+    ///
+    /// Every other pair reruns Yen.  The result is bit-identical to
     /// [`PreparedMultiOps::with_alternates`] over the base stack-graph and
     /// the same faults, so runs from a repaired kernel match runs from a
     /// fresh one exactly.  `alt_paths` must equal the value the base was
@@ -457,27 +366,80 @@ impl PreparedMultiOps {
         Self::build(router, Some(base), alt_paths)
     }
 
-    /// Precomputes the route tables over `router`, copying from `base`
-    /// whatever its faults leave valid (see [`PreparedMultiOps::repair_from`]).
+    /// Builds the group-level route table over `router`, copying from
+    /// `base` the alternates its faults leave valid (see
+    /// [`PreparedMultiOps::repair_from`]).
     fn build(router: StackRouter, base: Option<&PreparedMultiOps>, alt_paths: usize) -> Self {
-        let routes = FlatRoutes::repaired(&router, base);
-        let alts = if alt_paths > 1 {
-            AltRoutes::repaired(&router, &routes, alt_paths, base)
-        } else {
-            AltRoutes::default()
-        };
+        let stack = router.stack_graph();
+        let quotient = stack.quotient();
+        let groups = quotient.node_count();
+        let faults = router.faults();
+        // Reuse needs the base's Yen enumerations, which exist only when
+        // it was prepared with alternates.
+        let base = base.filter(|base| !base.yen_paths.is_empty());
+        let mut routes = GroupRoutes::new(stack);
+        let mut yen_paths = vec![None; if alt_paths > 1 { groups * groups } else { 0 }];
+        for src_group in 0..groups {
+            for dst_group in 0..groups {
+                let pair = src_group * groups + dst_group;
+                let primary = router
+                    .group_path(src_group, dst_group)
+                    .and_then(|path| router.couplers_via_groups(&path));
+                let Some(primary) = primary.map(narrow) else {
+                    routes.end_pair();
+                    continue;
+                };
+                routes.push(&primary);
+                if alt_paths > 1 {
+                    let reusable = base.filter(|base| {
+                        let base_primary = base.routes.of_pair(pair).next();
+                        base_primary.is_some_and(|r| base.routes.couplers(r) == primary)
+                            && base.yen_paths[pair].as_ref().is_some_and(|paths| {
+                                paths
+                                    .iter()
+                                    .all(|p| p.windows(2).all(|w| !faults.blocks(w[0], w[1])))
+                            })
+                    });
+                    if let Some(base) = reusable {
+                        for route in base.routes.of_pair(pair).skip(1) {
+                            routes.push(base.routes.couplers(route));
+                        }
+                    } else {
+                        let paths = k_shortest_paths_avoiding(
+                            quotient,
+                            src_group,
+                            dst_group,
+                            alt_paths,
+                            |u, v| faults.blocks(u, v),
+                        );
+                        let alternates = paths
+                            .iter()
+                            .filter(|path| path.len() >= 2)
+                            .filter_map(|path| router.couplers_via_groups(path))
+                            .map(narrow)
+                            .filter(|couplers| *couplers != primary)
+                            .take(alt_paths - 1);
+                        for couplers in alternates {
+                            routes.push(&couplers);
+                        }
+                        yen_paths[pair] = Some(paths);
+                    }
+                }
+                routes.end_pair();
+            }
+        }
         PreparedMultiOps {
             router,
             routes,
-            alts,
+            yen_paths,
         }
     }
 
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
     /// slot (fault targets are quotient groups and couplers, the multi-OPS
-    /// fault domain), each kernel delta-repaired from the fault-free `base`
-    /// toward that epoch's fault set ([`PreparedMultiOps::repair_from`]) —
+    /// fault domain), each kernel derived from the fault-free `base` for
+    /// that epoch's fault set ([`PreparedMultiOps::repair_from`]) —
     /// recovery epochs included — and bit-identical to preparing it from
     /// scratch.  The result feeds [`PreparedMultiOps::run`].  `alt_paths`
     /// must equal the value `base` and `initial` were prepared with.
@@ -524,37 +486,49 @@ impl PreparedMultiOps {
         &self.router
     }
 
-    /// Structural equality of the routing state — flat routes and prepared
-    /// alternates — used by the delta-repair acceptance tests to prove a
-    /// repaired kernel bit-identical to a from-scratch build.  Hidden from
-    /// docs: not part of the simulation surface.
+    /// Structural equality of the routing state — the group-level route
+    /// table, primaries and alternates — used by the delta-repair acceptance
+    /// tests to prove a repaired kernel bit-identical to a from-scratch
+    /// build.  Hidden from docs: not part of the simulation surface.
     #[doc(hidden)]
     pub fn routing_state_eq(&self, other: &PreparedMultiOps) -> bool {
-        self.router.faults() == other.router.faults()
-            && self.routes == other.routes
-            && self.alts == other.alts
+        self.router.faults() == other.router.faults() && self.routes == other.routes
+    }
+
+    /// The hops a flight from `src` to `dst` follows on its `alt`-th route
+    /// (0 = primary, then the alternates best first), with each receiver
+    /// derived as the slot loop derives it.  `None` when the kernel never
+    /// routes that flight: `src == dst`, a failed endpoint group, a
+    /// disconnected pair, or fewer than `alt` alternates.  Hidden from docs:
+    /// the oracle tests' view of the route table.
+    #[doc(hidden)]
+    pub fn route_hops(&self, src: usize, dst: usize, alt: usize) -> Option<Vec<StackHop>> {
+        let route = match alt {
+            0 => self.routes.primary(src, dst)?,
+            _ => self.routes.alternates(src, dst).nth(alt - 1)?,
+        };
+        let couplers = self.routes.couplers(route);
+        Some(
+            couplers
+                .iter()
+                .enumerate()
+                .map(|(i, &coupler)| StackHop {
+                    coupler: coupler as usize,
+                    receiver: self
+                        .routes
+                        .receiver(coupler as usize, dst, i + 1 == couplers.len()),
+                })
+                .collect(),
+        )
     }
 
     /// Whether alternate routes were prepared (via
     /// [`PreparedMultiOps::with_alternates`] with `alt_paths > 1` and at
-    /// least one pair having a second loopless quotient path).  When true,
-    /// [`PreparedMultiOps::run`] always uses the wavelength-mode loop, even
-    /// at capacity 1.
-    pub fn has_alternates(&self) -> bool {
-        self.alts.has_any()
-    }
-
-    /// The route slice the flight at `handle` is currently following:
-    /// primary from `route_src` when `alt == 0`, otherwise the `(alt-1)`-th
-    /// prepared alternate from `route_src`.
-    fn route_of(&self, route_src: usize, dst: usize, alt: usize) -> &[StackHop] {
-        if alt == 0 {
-            self.routes
-                .get(route_src, dst)
-                .expect("flights only enter precomputed routes")
-        } else {
-            &self.alts.get(route_src, dst)[alt - 1]
-        }
+    /// least one group pair having a second loopless quotient path).  When
+    /// true, [`PreparedMultiOps::run`] always uses the wavelength-mode loop,
+    /// even at capacity 1.
+    pub(crate) fn has_alternates(&self) -> bool {
+        self.routes.first.windows(2).any(|w| w[1] - w[0] > 1)
     }
 
     /// Executes one run — the kernel's single run entry point.
@@ -667,7 +641,7 @@ impl PreparedMultiOps {
             // and re-resolve each flight against the new routing tables from
             // the processor currently holding it; flights the new fault set
             // cuts off are stranded.
-            while timeline.get(next_epoch).is_some_and(|(s, _)| *s <= slot) {
+            while timeline.get(next_epoch).is_some_and(|(at, _)| *at <= slot) {
                 let kernel = &timeline[next_epoch].1;
                 next_epoch += 1;
                 let live: u64 = pending.iter().map(|q| q.len() as u64).sum();
@@ -679,13 +653,13 @@ impl PreparedMultiOps {
                 for handle in overflow.drain(..) {
                     let holder = flights.holder(handle);
                     let dst = arena.dst(handle);
-                    match kernel.routes.get(holder, dst) {
-                        Some(route) if !route.is_empty() => {
-                            flights.set_route(handle, holder, 0);
+                    match kernel.routes.primary(holder, dst) {
+                        Some(route) => {
+                            flights.set_route(handle, route);
                             flights.advance(handle, 0, holder);
-                            pending[route[0].coupler].push(handle);
+                            pending[kernel.routes.couplers(route)[0] as usize].push(handle);
                         }
-                        _ => {
+                        None => {
                             core.metrics.dropped_by_failure += 1;
                             core.drop_message();
                             arena.release(handle);
@@ -702,13 +676,10 @@ impl PreparedMultiOps {
             demand.injections_into(n, &mut core.rng, injections);
             for (src, dst) in injections.iter().enumerate() {
                 let Some(dst) = *dst else { continue };
-                let Some(route) = active.routes.get(src, dst) else {
+                let Some(route) = active.routes.primary(src, dst) else {
                     continue;
                 };
-                if route.is_empty() {
-                    continue;
-                }
-                let first_coupler = route[0].coupler;
+                let first_coupler = active.routes.couplers(route)[0] as usize;
                 if !bufferless
                     && options.queue_limit > 0
                     && pending[first_coupler].len() >= options.queue_limit
@@ -721,7 +692,7 @@ impl PreparedMultiOps {
                 }
                 let message = core.inject(src, dst, slot);
                 let handle = arena.insert(&message);
-                flights.init(handle, src);
+                flights.init(handle, src, route);
                 pending[first_coupler].push(handle);
             }
 
@@ -763,17 +734,14 @@ impl PreparedMultiOps {
                     }
                     core.grant();
 
-                    let route = active.route_of(
-                        flights.route_src(handle),
-                        arena.dst(handle),
-                        flights.alt(handle),
-                    );
+                    let route = active.routes.couplers(flights.route(handle));
                     let hop_idx = flights.next_hop(handle);
-                    let hop = route[hop_idx];
-                    let next_coupler =
-                        (hop_idx + 1 < route.len()).then(|| route[hop_idx + 1].coupler);
+                    debug_assert_eq!(route[hop_idx] as usize, coupler);
+                    let next_coupler = route.get(hop_idx + 1).map(|&c| c as usize);
+                    let dst = arena.dst(handle);
+                    let receiver = active.routes.receiver(coupler, dst, next_coupler.is_none());
                     arena.add_hop(handle);
-                    flights.advance(handle, hop_idx + 1, hop.receiver);
+                    flights.advance(handle, hop_idx + 1, receiver);
                     match next_coupler {
                         None => {
                             // Delivered at the end of this slot.
@@ -803,17 +771,17 @@ impl PreparedMultiOps {
                     let spectrum = spectrum.as_mut().expect("bufferless mode has a spectrum");
                     let dst = arena.dst(handle);
                     let holder = flights.holder(handle);
-                    let alts = active.alts.get(holder, dst);
                     let mut taken = false;
-                    for (a, alt) in alts.iter().enumerate() {
-                        let first = alt[0].coupler;
+                    for route in active.routes.alternates(holder, dst) {
+                        let alt = active.routes.couplers(route);
+                        let first = alt[0] as usize;
                         if spectrum.is_full(first) {
                             continue;
                         }
                         // Re-root the flight onto the alternate and transmit
                         // its first hop immediately.
                         core.metrics.alt_routed += 1;
-                        flights.set_route(handle, holder, a + 1);
+                        flights.set_route(handle, route);
                         let lambda = assign_wavelength(
                             spectrum,
                             first,
@@ -824,14 +792,15 @@ impl PreparedMultiOps {
                         core.grant();
                         last_winner[first] = Some(holder);
                         arena.add_hop(handle);
-                        flights.advance(handle, 1, alt[0].receiver);
+                        let receiver = active.routes.receiver(first, dst, alt.len() == 1);
+                        flights.advance(handle, 1, receiver);
                         if alt.len() == 1 {
                             let latency = slot + 1 - arena.injected_at(handle);
                             core.deliver(latency, arena.hops(handle));
                             tracker.observe_delivery(latency, &mut core.metrics);
                             arena.release(handle);
                         } else {
-                            let next = alt[1].coupler;
+                            let next = alt[1] as usize;
                             if next > coupler {
                                 pending[next].push(handle);
                             } else {
@@ -1016,7 +985,7 @@ mod tests {
         // The prepare/execute contract, multi-OPS side: one kernel driven
         // with many (seed, traffic, slots) combinations through one reused
         // scratch pool matches rebuilding the kernel (router + quotient
-        // table + flat routes) per run.
+        // table + group route table) per run.
         let sk = StackKautz::new(2, 2, 2);
         let mut scratch = SlotScratch::new();
         for faults in [FaultSet::new(), FaultSet::from_nodes([2])] {
@@ -1190,10 +1159,10 @@ mod tests {
     }
     #[test]
     fn repaired_alternates_are_bit_identical_to_from_scratch_yen() {
-        // The tentpole contract of the repair-aware alternates: for every
-        // fault pattern within the d−1 tolerance bound — every single group
-        // fault plus every single blocked coupler — the delta-rebuilt
-        // `AltRoutes` (and the whole routing state) must equal a
+        // The contract of the repair-aware alternates: for every fault
+        // pattern within the d−1 tolerance bound — every single group
+        // fault plus every single blocked coupler — the repaired group
+        // route table (and the whole routing state) must equal a
         // from-scratch `with_alternates` build, entry for entry.
         use otis_routing::node_fault_patterns_up_to;
         for (d, s, k) in [(2, 2, 2), (2, 2, 3)] {
@@ -1225,7 +1194,7 @@ mod tests {
                         alt_paths,
                     );
                     assert_eq!(
-                        repaired.alts, fresh.alts,
+                        repaired.routes, fresh.routes,
                         "SK({d},{s},{k}) alt_paths {alt_paths} faults {:?}",
                         faults
                     );
