@@ -7,8 +7,9 @@
 //! them, routing reduces to routing in the quotient: the group-level path is
 //! computed first (here with a [`RoutingTable`] over the quotient, so any
 //! quotient works), and the in-group destination index only picks each
-//! hop's receiver ([`hop_receiver`]).  This is exactly why the paper says the stack-Kautz network
-//! "inherits" the Kautz graph's shortest-path routing.
+//! hop's receiver ([`hop_receiver`]).  This is exactly why the paper says
+//! the stack-Kautz network "inherits" the Kautz graph's shortest-path
+//! routing.
 
 use crate::fault_tolerant::{surviving_subgraph, FaultSet};
 use crate::table::RoutingTable;
@@ -105,9 +106,9 @@ impl StackRouter {
     /// already-shared stack-graph without copying any graph data — only the
     /// quotient routing table is computed (over the surviving quotient when
     /// faults are present).  This is the constructor prepared simulation
-    /// kernels use, for every fault set: the table has one entry per group
-    /// pair, the same order as the group-level route tables the kernels
-    /// build from it.
+    /// kernels use, for every fault set: the table is `O(G²)` in the group
+    /// count `G`, like the group-level route tables the kernels build from
+    /// it.
     pub fn from_shared(stack: Arc<StackGraph>, faults: FaultSet) -> Self {
         let quotient_table = if faults.is_empty() {
             RoutingTable::new(stack.quotient())
@@ -232,7 +233,7 @@ impl StackRouter {
         let hops = self
             .couplers_via_groups(group_path)?
             .into_iter()
-            .zip(&group_path[1..])
+            .zip(group_path.iter().skip(1))
             .enumerate()
             .map(|(i, (coupler, &group))| StackHop {
                 coupler,
