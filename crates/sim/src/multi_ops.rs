@@ -157,13 +157,13 @@ impl OpsScratch {
 
 /// Every route of one prepared network, keyed by group pair and stored as
 /// coupler sequences.  The routes of the pair `(src_group, dst_group)`
-/// have the ids `first[pair] .. first[pair + 1]` with
+/// have the ids `pair_starts[pair] .. pair_starts[pair + 1]` with
 /// `pair = src_group · groups + dst_group`: the primary route
 /// ([`StackRouter::group_path`]) first, then the Yen alternates best
 /// first; the range is empty when the faults cut the pair off.  Route `r`
-/// uses the couplers `couplers[offsets[r] .. offsets[r + 1]]`.  A route
-/// between distinct processors always has at least one hop; a processor
-/// never routes to itself.  Memory is `O(G² · alt_paths · diameter)` for
+/// uses the couplers `couplers[route_starts[r] .. route_starts[r + 1]]`.
+/// A route between distinct processors always has at least one hop; a
+/// processor never routes to itself.  Memory is `O(G² · alt_paths · diameter)` for
 /// `G` groups, plus the group of each processor and the target group of
 /// each coupler, which spare the slot loop a division per lookup and per
 /// receiver.
@@ -173,8 +173,8 @@ struct GroupRoutes {
     groups: usize,
     group_of: Vec<u32>,
     coupler_group: Vec<u32>,
-    first: Vec<usize>,
-    offsets: Vec<usize>,
+    pair_starts: Vec<usize>,
+    route_starts: Vec<usize>,
     couplers: Vec<u32>,
 }
 
@@ -183,8 +183,8 @@ impl GroupRoutes {
     fn new(stack: &StackGraph) -> Self {
         let stacking_factor = stack.stacking_factor();
         let groups = stack.group_count();
-        let mut first = Vec::with_capacity(groups * groups + 1);
-        first.push(0);
+        let mut pair_starts = Vec::with_capacity(groups * groups + 1);
+        pair_starts.push(0);
         GroupRoutes {
             stacking_factor,
             groups,
@@ -197,8 +197,8 @@ impl GroupRoutes {
                 .iter()
                 .map(|arc| arc.target as u32)
                 .collect(),
-            first,
-            offsets: vec![0],
+            pair_starts,
+            route_starts: vec![0],
             couplers: Vec::new(),
         }
     }
@@ -206,17 +206,17 @@ impl GroupRoutes {
     /// Appends a route to the group pair under construction.
     fn push(&mut self, couplers: &[u32]) {
         self.couplers.extend_from_slice(couplers);
-        self.offsets.push(self.couplers.len());
+        self.route_starts.push(self.couplers.len());
     }
 
     /// Closes the group pair under construction.
     fn end_pair(&mut self) {
-        self.first.push(self.offsets.len() - 1);
+        self.pair_starts.push(self.route_starts.len() - 1);
     }
 
     /// The route ids of group pair `pair`, primary first.
     fn of_pair(&self, pair: usize) -> Range<usize> {
-        self.first[pair]..self.first[pair + 1]
+        self.pair_starts[pair]..self.pair_starts[pair + 1]
     }
 
     /// The route ids of the processor pair `(src, dst)`'s group pair.
@@ -260,7 +260,7 @@ impl GroupRoutes {
     /// The couplers of route `route`.
     #[inline]
     fn couplers(&self, route: usize) -> &[u32] {
-        &self.couplers[self.offsets[route]..self.offsets[route + 1]]
+        &self.couplers[self.route_starts[route]..self.route_starts[route + 1]]
     }
 }
 
@@ -304,7 +304,7 @@ impl PreparedMultiOps {
     /// pair (65,535² B ≈ 4.0 GiB).  A multi-OPS kernel spends at least 64 B
     /// per group pair: 12 B in the router's quotient table (8 B next hop,
     /// 4 B distance), 8 B for the pair's first route id, 8 B for the
-    /// primary's coupler offset, and 4 B per coupler for up to 9 hops.
+    /// primary's first coupler index, and 4 B per coupler for up to 9 hops.
     /// The budget therefore covers `65,535 / √64 = 8,191` groups;
     /// alternates only add to the per-pair cost.
     pub const MAX_GROUPS: usize =
@@ -528,7 +528,7 @@ impl PreparedMultiOps {
     /// true, [`PreparedMultiOps::run`] always uses the wavelength-mode loop,
     /// even at capacity 1.
     pub(crate) fn has_alternates(&self) -> bool {
-        self.routes.first.windows(2).any(|w| w[1] - w[0] > 1)
+        self.routes.pair_starts.windows(2).any(|w| w[1] - w[0] > 1)
     }
 
     /// Executes one run — the kernel's single run entry point.
