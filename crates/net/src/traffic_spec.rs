@@ -490,7 +490,7 @@ impl TrafficSpec {
     /// [`TrafficSpec::bind`], which validates against a network size; the
     /// raw pattern defends itself by injecting nothing where it is
     /// undefined.
-    pub fn as_pattern(&self) -> Option<TrafficPattern> {
+    fn as_pattern(&self) -> Option<TrafficPattern> {
         match *self {
             TrafficSpec::Uniform { load } => Some(TrafficPattern::Uniform { load }),
             TrafficSpec::Permutation { load, offset } => {

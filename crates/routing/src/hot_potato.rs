@@ -66,7 +66,7 @@ impl HotPotatoRouter {
     /// The precomputed distance table underneath — the bit-identity oracle
     /// of the delta-repair acceptance tests.  Hidden from docs: routing
     /// decisions go through [`HotPotatoRouter::distance`] and the port
-    /// rankers, not the raw table.
+    /// chooser, not the raw table.
     #[doc(hidden)]
     pub fn table(&self) -> &DistanceTable {
         &self.table
@@ -77,115 +77,25 @@ impl HotPotatoRouter {
         self.table.distance(src, dst)
     }
 
-    /// Ranks the output ports of `node` for a message heading to `dst`:
-    /// returns the out-neighbour indices (positions within
-    /// `graph.out_neighbors(node)`) sorted from most preferred (closest to
-    /// the destination) to least preferred.  Deflection = being assigned a
-    /// port far down this list.
-    pub fn ranked_ports(&self, node: NodeId, dst: NodeId) -> Vec<usize> {
-        let neighbors = self.graph.out_neighbors(node);
-        let mut ranked: Vec<(u32, usize)> = neighbors
-            .iter()
-            .enumerate()
-            .map(|(port, &next)| {
-                let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
-                (d, port)
-            })
-            .collect();
-        ranked.sort();
-        ranked.into_iter().map(|(_, port)| port).collect()
-    }
-
-    /// Chooses an output port for a message at `node` heading to `dst`, given
-    /// which ports are still free this slot.  Returns the most preferred free
-    /// port, or `None` when every port is taken (the caller must then drop or
-    /// buffer, depending on its model).
-    pub fn choose_port(&self, node: NodeId, dst: NodeId, port_free: &[bool]) -> Option<usize> {
-        assert_eq!(
-            port_free.len(),
-            self.graph.out_degree(node),
-            "port mask length mismatch"
-        );
-        self.ranked_ports(node, dst)
-            .into_iter()
-            .find(|&p| port_free[p])
-    }
-
-    /// Like [`HotPotatoRouter::choose_port`] but breaks ties among equally
-    /// good free ports uniformly at random (the classical randomised
-    /// deflection rule); still prefers strictly closer ports first.
-    pub fn choose_port_randomized<R: Rng>(
-        &self,
-        node: NodeId,
-        dst: NodeId,
-        port_free: &[bool],
-        rng: &mut R,
-    ) -> Option<usize> {
-        let mut ties = Vec::new();
-        self.choose_port_randomized_into(node, dst, port_free, rng, &mut ties)
-    }
-
-    /// Allocation-free form of [`HotPotatoRouter::choose_port_randomized`]:
-    /// the caller provides the scratch buffer that collects the equally-good
-    /// candidate ports, so per-slot simulation loops can reuse one buffer
-    /// across every decision.  Consumes the RNG identically to the
-    /// allocating form (one draw per decision that finds a free port), so
-    /// the two variants produce byte-identical simulations.
-    pub fn choose_port_randomized_into<R: Rng>(
-        &self,
-        node: NodeId,
-        dst: NodeId,
-        port_free: &[bool],
-        rng: &mut R,
-        ties: &mut Vec<usize>,
-    ) -> Option<usize> {
-        assert_eq!(
-            port_free.len(),
-            self.graph.out_degree(node),
-            "port mask length mismatch"
-        );
-        let neighbors = self.graph.out_neighbors(node);
-        ties.clear();
-        let mut best: Option<u32> = None;
-        for (port, &next) in neighbors.iter().enumerate() {
-            if !port_free[port] {
-                continue;
-            }
-            let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
-            match best {
-                None => {
-                    best = Some(d);
-                    ties.push(port);
-                }
-                Some(bd) if d < bd => {
-                    best = Some(d);
-                    ties.clear();
-                    ties.push(port);
-                }
-                Some(bd) if d == bd => ties.push(port),
-                Some(_) => {}
-            }
-        }
-        if ties.is_empty() {
-            None
-        } else {
-            Some(ties[rng.gen_range(0..ties.len())])
-        }
-    }
-
-    /// Bitset form of [`HotPotatoRouter::choose_port_randomized_into`]: port
-    /// `p` is free when bit `p & 63` of `free_words[p >> 6]` is set, so the
-    /// per-slot simulation loop can keep its port occupancy as a few `u64`
-    /// words instead of a `Vec<bool>`.  Consumes the RNG identically to the
-    /// slice form (one draw per decision that finds a free port), so either
-    /// mask representation produces byte-identical simulations.
+    /// Chooses an output port for a message at `node` heading to `dst`,
+    /// given which ports are still free this slot: the free ports closest
+    /// to the destination tie, and one uniform draw breaks the tie (the
+    /// classical randomised deflection rule).  Returns `None`, drawing
+    /// nothing, when every port is taken; the caller then drops or buffers,
+    /// depending on its model.
+    ///
+    /// Port `p` is free when bit `p & 63` of `free_words[p >> 6]` is set, so
+    /// the per-slot simulation loop keeps its port occupancy as a few `u64`
+    /// words; bits past the out-degree are ignored.  `ties` is the caller's
+    /// scratch buffer for the equally good candidates, reused across
+    /// decisions so the loop allocates nothing.
     ///
     /// The scan is chunked word at a time: busy ports are skipped by bit
     /// tricks (`trailing_zeros` over each 64-port word) instead of a
     /// per-port load-and-test, and only free ports pay the distance lookup.
-    /// Free ports are still visited in ascending order and the tie set
-    /// depends only on that ordered set, so the chunked walk is
-    /// byte-identical to the per-port one.
+    /// Free ports are visited in ascending order, so the tie set, and with
+    /// it the draw, is the one a per-port `&[bool]` scan would produce (the
+    /// test module keeps such a scan as the reference).
     pub fn choose_port_randomized_masked<R: Rng>(
         &self,
         node: NodeId,
@@ -264,6 +174,105 @@ mod tests {
     use otis_topologies::de_bruijn;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Slice-mask reference choosers: the per-port scans the masked chooser
+    /// must agree with, decision for decision and draw for draw.
+    impl HotPotatoRouter {
+        /// Ranks the output ports of `node` for a message heading to `dst`:
+        /// returns the out-neighbour indices (positions within
+        /// `graph.out_neighbors(node)`) sorted from most preferred (closest to
+        /// the destination) to least preferred.  Deflection = being assigned a
+        /// port far down this list.
+        fn ranked_ports(&self, node: NodeId, dst: NodeId) -> Vec<usize> {
+            let neighbors = self.graph.out_neighbors(node);
+            let mut ranked: Vec<(u32, usize)> = neighbors
+                .iter()
+                .enumerate()
+                .map(|(port, &next)| {
+                    let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
+                    (d, port)
+                })
+                .collect();
+            ranked.sort();
+            ranked.into_iter().map(|(_, port)| port).collect()
+        }
+
+        /// Chooses an output port for a message at `node` heading to `dst`, given
+        /// which ports are still free this slot.  Returns the most preferred free
+        /// port, or `None` when every port is taken (the caller must then drop or
+        /// buffer, depending on its model).
+        fn choose_port(&self, node: NodeId, dst: NodeId, port_free: &[bool]) -> Option<usize> {
+            assert_eq!(
+                port_free.len(),
+                self.graph.out_degree(node),
+                "port mask length mismatch"
+            );
+            self.ranked_ports(node, dst)
+                .into_iter()
+                .find(|&p| port_free[p])
+        }
+
+        /// Like [`HotPotatoRouter::choose_port`] but breaks ties among equally
+        /// good free ports uniformly at random (the classical randomised
+        /// deflection rule); still prefers strictly closer ports first.
+        fn choose_port_randomized<R: Rng>(
+            &self,
+            node: NodeId,
+            dst: NodeId,
+            port_free: &[bool],
+            rng: &mut R,
+        ) -> Option<usize> {
+            let mut ties = Vec::new();
+            self.choose_port_randomized_into(node, dst, port_free, rng, &mut ties)
+        }
+
+        /// [`HotPotatoRouter::choose_port_randomized`] over a caller-owned
+        /// tie buffer: the slice-mask counterpart of
+        /// [`HotPotatoRouter::choose_port_randomized_masked`], with the same
+        /// tie set and the same one draw per decision that finds a free
+        /// port.
+        fn choose_port_randomized_into<R: Rng>(
+            &self,
+            node: NodeId,
+            dst: NodeId,
+            port_free: &[bool],
+            rng: &mut R,
+            ties: &mut Vec<usize>,
+        ) -> Option<usize> {
+            assert_eq!(
+                port_free.len(),
+                self.graph.out_degree(node),
+                "port mask length mismatch"
+            );
+            let neighbors = self.graph.out_neighbors(node);
+            ties.clear();
+            let mut best: Option<u32> = None;
+            for (port, &next) in neighbors.iter().enumerate() {
+                if !port_free[port] {
+                    continue;
+                }
+                let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
+                match best {
+                    None => {
+                        best = Some(d);
+                        ties.push(port);
+                    }
+                    Some(bd) if d < bd => {
+                        best = Some(d);
+                        ties.clear();
+                        ties.push(port);
+                    }
+                    Some(bd) if d == bd => ties.push(port),
+                    Some(_) => {}
+                }
+            }
+            if ties.is_empty() {
+                None
+            } else {
+                Some(ties[rng.gen_range(0..ties.len())])
+            }
+        }
+    }
 
     #[test]
     fn preferred_port_is_on_a_shortest_path() {

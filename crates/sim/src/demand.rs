@@ -15,8 +15,8 @@
 //!   ([`DemandSpec::source`]).  It answers the kernels' per-slot question
 //!   through [`DemandSource::injections_into`], the same allocation-free
 //!   shape as [`TrafficPattern::injections_into`], drawing from the run's
-//!   [`crate::kernel::RunCore`] RNG so results stay deterministic per seed
-//!   and thread-count independent;
+//!   one RNG stream so results stay deterministic per seed and
+//!   thread-count independent;
 //! * [`TraceReplay`] and the line-oriented `.trc` trace format — replayed
 //!   *lazily*, one lookahead event at a time, so the resident demand state
 //!   is bounded by a constant buffer regardless of trace length
@@ -201,24 +201,6 @@ impl DemandSpec {
                 self.offered_load() * (n as f64 - 1.0) / n as f64
             }
             _ => self.offered_load(),
-        }
-    }
-
-    /// An on/off burst process calibrated so its long-run mean offered
-    /// load matches `Poisson { rate: mean_rate }` exactly — the burst-phase
-    /// rate is [`matched_burst_rate`].  Matched means isolate traffic
-    /// *shape*: any metric gap between the Poisson run and this one is the
-    /// price of demand concentration, not of extra load.
-    ///
-    /// # Panics
-    ///
-    /// When the duty cycle is too small to reach the requested mean (see
-    /// [`matched_burst_rate`]).
-    pub fn matched_on_off(mean_rate: f64, burst_len: u64, idle_len: u64) -> DemandSpec {
-        DemandSpec::OnOff {
-            rate: matched_burst_rate(mean_rate, burst_len, idle_len),
-            burst_len,
-            idle_len,
         }
     }
 }
@@ -1224,17 +1206,21 @@ mod tests {
     }
 
     #[test]
-    fn matched_on_off_offers_the_poisson_mean_exactly() {
+    fn matched_burst_rate_offers_the_poisson_mean_exactly() {
         for (mean, burst, idle) in [(0.25, 16, 48), (0.1, 4, 4), (0.002, 1, 99), (0.6, 32, 8)] {
             let poisson = DemandSpec::Poisson {
                 rate: mean,
                 dst: None,
             };
-            let matched = DemandSpec::matched_on_off(mean, burst, idle);
+            let matched = DemandSpec::OnOff {
+                rate: matched_burst_rate(mean, burst, idle),
+                burst_len: burst,
+                idle_len: idle,
+            };
             let gap = (matched.offered_load() - poisson.offered_load()).abs();
             assert!(
                 gap < 1e-15,
-                "matched_on_off({mean},{burst},{idle}) offers {} vs poisson's {}",
+                "onoff at matched_burst_rate({mean},{burst},{idle}) offers {} vs poisson's {}",
                 matched.offered_load(),
                 poisson.offered_load()
             );
@@ -1250,7 +1236,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "duty cycle")]
-    fn matched_on_off_refuses_unreachable_means() {
+    fn matched_burst_rate_refuses_unreachable_means() {
         // p = 1 − e^(−2) ≈ 0.86 against a 1/10 duty cycle needs an ON-phase
         // injection probability of 8.6 — impossible.
         matched_burst_rate(2.0, 1, 9);

@@ -20,15 +20,16 @@
 //!   faults actually touch are recomputed, and the result is identical to
 //!   building from scratch;
 //! * [`PreparedHotPotato::run`] — the kernel's one run entry point — owns
-//!   only per-run mutable state (in a caller-owned
-//!   [`crate::kernel::SlotScratch`]) and drives the shared
-//!   struct-of-arrays slot engine of [`crate::kernel`]: messages
-//!   live in a [`crate::kernel::MessageArena`] and the per-node buffers
-//!   hold `u32` handles, port occupancy is a [`crate::kernel::PortBits`]
-//!   bitset fed straight into the router's masked port chooser, and per-arc
-//!   wavelength occupancy is a reused [`SpectrumMap`] bitmask.  No per-slot
-//!   allocations, so a scenario sweep pays the expensive table construction
-//!   once and every cell only pays for its slot loop.
+//!   only per-run mutable state (in a caller-owned [`crate::SlotScratch`])
+//!   and drives the slot engine shared with the multi-OPS kernel: a
+//!   message in flight is the record `(dst, injected_at, hops)` behind a
+//!   `u32` handle, and the per-node buffers hold handles.  Port occupancy
+//!   is a `u64`-word bitset fed straight into the router's masked port
+//!   chooser, and per-arc wavelength occupancy a [`SpectrumMap`] bitmask
+//!   cleared every slot; which wavelength a message took is not kept,
+//!   because nothing reads it.  No per-slot allocations, so a scenario
+//!   sweep pays the expensive table construction once and every cell only
+//!   pays for its slot loop.
 //!
 //! One loop serves both capacities; [`PreparedHotPotato::run`] describes
 //! the capacity-1 and WDM modes.  Hot-potato deflection *is* alternate
@@ -37,7 +38,7 @@
 //! the `alt_routed` metric counts deflections off a shortest-path port.
 
 use crate::demand::DemandSource;
-use crate::kernel::{assign_wavelength, HotScratch, PortBits, RunCore, SlotScratch};
+use crate::kernel::{assign_wavelength, HotScratch, MessageArena, PortBits, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::options::SimOptions;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
@@ -177,7 +178,7 @@ impl PreparedHotPotato {
     ///   introduces new failures.  An empty timeline never touches the swap
     ///   machinery.
     /// * `scratch` holds every piece of per-run mutable state — the message
-    ///   arena, handle buckets, port bitsets and tie-break scratch.  It is
+    ///   records, handle buckets, port bitsets and tie-break scratch.  It is
     ///   reset on entry (cleared lengths, kept allocations), so a reused
     ///   pool is indistinguishable from a fresh one and consecutive runs
     ///   reallocate nothing; no per-slot allocations either.
@@ -190,17 +191,16 @@ impl PreparedHotPotato {
     /// no usable port counts as blocked and is dropped, and deflections off
     /// a shortest-path port are recorded as alternate-route events.
     ///
-    /// The slot body is organised as batched phases, each one pass over the
-    /// arena's parallel arrays (see the *hot path anatomy* section of the
-    /// crate docs): the **deliver/classify** phase drains every node's
-    /// bucket — delivering, dropping livelocked messages, collecting the
-    /// survivors into one slot-global transit list with per-node spans,
-    /// age-sorted per node — touching only the `dst`/`injected_at`/`hops`
-    /// columns; the **arbitrate/inject** phase then walks the nodes in
+    /// The slot body is organised as batched phases (see the *hot path
+    /// anatomy* section of the crate docs): the **deliver/classify** phase
+    /// drains every node's bucket — delivering, dropping livelocked
+    /// messages, collecting the survivors into one slot-global transit list
+    /// with per-node spans, age-sorted per node — and draws nothing from
+    /// the RNG; the **arbitrate/inject** phase then walks the nodes in
     /// index order, deflection-routing each span and admitting at most one
-    /// injection per node, exactly preserving the per-node RNG draw order
-    /// of the classic fused loop (classification draws nothing, so hoisting
-    /// it is invisible to the RNG stream).
+    /// injection per node.  A transit message and an admitted injection
+    /// leave through the same forward step, which claims the port, takes
+    /// the hop and counts the grant.
     pub fn run(
         &self,
         timeline: &[(u64, PreparedHotPotato)],
@@ -260,7 +260,7 @@ impl PreparedHotPotato {
                             || kernel.router.distance(node, dst).is_none();
                         if stranded {
                             core.metrics.dropped_by_failure += 1;
-                            core.drop_message();
+                            core.metrics.dropped += 1;
                             arena.release(handle);
                         }
                         !stranded
@@ -274,7 +274,6 @@ impl PreparedHotPotato {
                     ));
                 }
             }
-            let g = active.router.graph();
             if let Some(spectrum) = spectrum.as_mut() {
                 spectrum.clear();
             }
@@ -294,11 +293,11 @@ impl PreparedHotPotato {
                 for handle in bucket.drain(..) {
                     if arena.dst(handle) == node {
                         let latency = slot.saturating_sub(arena.injected_at(handle));
-                        core.deliver(latency, arena.hops(handle));
+                        core.metrics.record_delivery(latency, arena.hops(handle));
                         tracker.observe_delivery(latency, &mut core.metrics);
                         arena.release(handle);
                     } else if RunCore::livelock_exceeded(options.max_hops, arena.hops(handle)) {
-                        core.drop_message();
+                        core.metrics.dropped += 1;
                         arena.release(handle);
                     } else {
                         transit.push(handle);
@@ -310,14 +309,12 @@ impl PreparedHotPotato {
 
             // Arbitrate/inject phase: nodes in index order, each one's
             // transit span first (one deflection decision per message, one
-            // RNG draw per successful decision), then at most one injection
-            // — the exact draw order of the classic fused loop.
+            // RNG draw per successful decision), then at most one injection.
             for node in 0..n {
-                let arcs = g.out_arc_ids(node);
                 // Each arc is this node's exclusive output and the spectrum
                 // was cleared at the top of the slot, so every port opens
                 // free.
-                ports.reset(arcs.len());
+                ports.reset(active.router.graph().out_degree(node));
                 let (start, end) = spans[node];
                 for &handle in &transit[start as usize..end as usize] {
                     let dst = arena.dst(handle);
@@ -328,26 +325,18 @@ impl PreparedHotPotato {
                         &mut core.rng,
                         ties,
                     ) {
-                        Some(port) => {
-                            let lambda = claim_port(
-                                &active.router,
-                                node,
-                                dst,
-                                port,
-                                arcs,
-                                options.wavelengths.assignment,
-                                &mut spectrum,
-                                ports,
-                                core,
-                            );
-                            if let Some(lambda) = lambda {
-                                arena.set_wavelength(handle, lambda);
-                            }
-                            arena.add_hop(handle);
-                            let next = g.out_neighbors(node)[port];
-                            arriving[next].push(handle);
-                            core.grant();
-                        }
+                        Some(port) => forward(
+                            handle,
+                            node,
+                            port,
+                            &active.router,
+                            options.wavelengths.assignment,
+                            &mut spectrum,
+                            ports,
+                            core,
+                            arena,
+                            arriving,
+                        ),
                         None => {
                             // No free port.  Capacity 1: with in-degree ==
                             // out-degree this cannot happen for pure transit
@@ -358,7 +347,7 @@ impl PreparedHotPotato {
                             if multiplexed {
                                 core.metrics.blocked += 1;
                             }
-                            core.drop_message();
+                            core.metrics.dropped += 1;
                             arena.release(handle);
                         }
                     }
@@ -381,26 +370,20 @@ impl PreparedHotPotato {
                         &mut core.rng,
                         ties,
                     ) {
-                        let lambda = claim_port(
-                            &active.router,
+                        core.metrics.injected += 1;
+                        let handle = arena.insert(dst, slot);
+                        forward(
+                            handle,
                             node,
-                            dst,
                             port,
-                            arcs,
+                            &active.router,
                             options.wavelengths.assignment,
                             &mut spectrum,
                             ports,
                             core,
+                            arena,
+                            arriving,
                         );
-                        let msg = core.inject(node, dst, slot);
-                        let handle = arena.insert(&msg);
-                        arena.set_hops(handle, 1);
-                        if let Some(lambda) = lambda {
-                            arena.set_wavelength(handle, lambda);
-                        }
-                        let next = g.out_neighbors(node)[port];
-                        arriving[next].push(handle);
-                        core.grant();
                     }
                     // else: injection refused, not counted as injected.
                 }
@@ -438,39 +421,44 @@ impl PreparedHotPotato {
     }
 }
 
-/// Books the granted `port` at `node`: in multiplexed mode records a
-/// deflection if the port makes no progress toward `dst`, occupies one
-/// wavelength on the port's arc (returned) and closes the port only once
-/// the arc's spectrum is full; with the wavelength layer off the port
-/// closes unconditionally and no wavelength is assigned.
+/// Sends the message at `handle` out of `node` on `port` — the one place
+/// a hot-potato hop is granted, for transit traffic and fresh injections
+/// alike.  In multiplexed mode it records a deflection if the port makes
+/// no progress toward the destination, occupies one wavelength of the
+/// port's arc and closes the port only once the arc's spectrum is full;
+/// with the wavelength layer off the port closes unconditionally.  The
+/// message then takes the hop and arrives at the port's neighbour for the
+/// next slot.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-fn claim_port(
-    router: &HotPotatoRouter,
+fn forward(
+    handle: u32,
     node: usize,
-    dst: usize,
     port: usize,
-    arcs: &[usize],
+    router: &HotPotatoRouter,
     assignment: WavelengthAssignment,
     spectrum: &mut Option<SpectrumMap>,
     ports: &mut PortBits,
     core: &mut RunCore,
-) -> Option<usize> {
+    arena: &mut MessageArena,
+    arriving: &mut [Vec<u32>],
+) {
     match spectrum.as_mut() {
         Some(spectrum) => {
-            if !router.is_progress_port(node, dst, port) {
+            if !router.is_progress_port(node, arena.dst(handle), port) {
                 core.metrics.alt_routed += 1;
             }
-            let lambda = assign_wavelength(spectrum, arcs[port], assignment, &mut core.rng);
-            if spectrum.is_full(arcs[port]) {
+            let arc = router.graph().out_arc_ids(node)[port];
+            assign_wavelength(spectrum, arc, assignment, &mut core.rng);
+            if spectrum.is_full(arc) {
                 ports.close(port);
             }
-            Some(lambda)
         }
-        None => {
-            ports.close(port);
-            None
-        }
+        None => ports.close(port),
     }
+    arena.add_hop(handle);
+    arriving[router.graph().out_neighbors(node)[port]].push(handle);
+    core.metrics.grants += 1;
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@
 //!   ([`PreparedHotPotato::run`], [`PreparedMultiOps::run`]): an optional
 //!   fault timeline (empty slice = static faults), a [`DemandSource`] as
 //!   the only traffic input, one [`SimOptions`] and a caller-owned
-//!   [`kernel::SlotScratch`] that holds all per-run mutable state.  A run
+//!   [`SlotScratch`] that holds all per-run mutable state.  A run
 //!   performs **no per-slot allocations**.
 //!
 //! [`SimOptions`] is shared with the `otis-net` facade, which re-exports
@@ -94,29 +94,36 @@
 //! undefined when no swap happened.  An empty timeline never touches the
 //! swap machinery.
 //!
-//! ## The struct-of-arrays slot engine
+//! ## The slot engine
 //!
-//! Both `run` implementations drive the shared slot engine of [`kernel`]:
+//! Both `run` implementations drive one shared slot engine:
 //!
-//! * [`kernel::RunCore`] — seeded RNG, metrics, injection accounting;
-//! * [`kernel::MessageArena`] — messages in flight as parallel
-//!   `dst`/`injected_at`/`hops`/`wavelength` arrays indexed by compact
-//!   `u32` handles (with a free list, so memory tracks the peak live
-//!   population).  Per-node and per-coupler buffers hold handles, not
-//!   message structs, so the hot paths are word-wide passes over dense
-//!   arrays;
-//! * [`kernel::PortBits`] and [`otis_graphs::SpectrumMap`] — `u64`-word
-//!   bitsets for port occupancy and per-channel spectrum occupancy.
+//! * a per-run core of the seeded RNG and the [`SimMetrics`], which the
+//!   slot loops update in place;
+//! * the messages in flight, each a three-column record
+//!   `(dst, injected_at, hops)` behind a compact `u32` handle, with a free
+//!   list so memory tracks the peak live population.  That is all the
+//!   loops read: `dst` to test delivery and to route, `injected_at` for
+//!   latency and age-ordered arbitration, `hops` for the hop statistics
+//!   and the livelock guard.  Nothing else is stored, because nothing
+//!   reads it: no metric names a message or its source, and an assigned
+//!   wavelength only matters as occupancy of the slot's spectrum map.
+//!   Per-node and per-coupler buffers hold handles, and the multi-OPS
+//!   kernel keeps each flight's route and hop position per handle in its
+//!   own scratch;
+//! * `u64`-word bitsets for port occupancy and, in
+//!   [`otis_graphs::SpectrumMap`], per-channel spectrum occupancy.
 //!
-//! One loop per simulator covers every capacity; the engine reproduces the
-//! per-node `Vec<Message>` engine it replaced bit for bit (same RNG draw
-//! order, same message ordering, same metrics) at every thread count.
+//! One loop per simulator covers every capacity, with one RNG stream per
+//! run, so the metrics are a function of the kernel, the demand and the
+//! options alone, at every thread count.  `tests/slot_loop_pins.rs` pins
+//! both loops' metrics across every arbitration policy, queue limit,
+//! wavelength mode and fault timeline.
 //!
 //! ## Hot path anatomy
 //!
-//! Each kernel's slot body is organised as **batched phases** — one pass
-//! over the arena's parallel arrays per phase, instead of interleaving all
-//! work per message:
+//! Each kernel's slot body is organised as **batched phases**, and each
+//! kernel grants a hop in exactly one place:
 //!
 //! * **Hot-potato** runs two phases per slot.  *Deliver/classify* drains
 //!   every node bucket in index order, delivering arrivals, dropping
@@ -125,25 +132,27 @@
 //!   injection slot); this phase draws nothing from the RNG.
 //!   *Arbitrate/inject* then walks nodes in index order, resets the port
 //!   bitset once per node, routes each span through the randomized port
-//!   chooser, and admits at most one injection — so every RNG draw happens
-//!   exactly where the message-at-a-time loop drew it, and the metrics are
-//!   byte-identical.
-//! * **Multi-OPS** was already phase-shaped: inject, then per-coupler
-//!   arbitrate/advance/deliver, then the bufferless overflow/alternate
-//!   pass, then the pending-queue swap.
-//! * Port masks ([`kernel::PortBits`]) are scanned **word at a time**:
-//!   the chooser iterates `u64` words, masks the tail past the declared
-//!   port count, and pops set bits with `trailing_zeros`, visiting free
-//!   ports in ascending order — the same tie sets, hence the same draws,
-//!   as the bit-by-bit probe it replaced.
+//!   chooser, and admits at most one injection.  Transit messages and the
+//!   admitted injection leave through the same forward step: claim the
+//!   port (and, multiplexed, a wavelength of its arc), take the hop, and
+//!   arrive at the neighbour for the next slot.
+//! * **Multi-OPS** runs inject, then per-coupler arbitrate/transmit, then
+//!   the bufferless overflow/alternate pass, then the pending-queue swap.
+//!   An arbitration winner and a message re-rooted onto an alternate route
+//!   go through the same transmit step, which grants the coupler, takes
+//!   the hop, and delivers or forwards the message.
+//! * Port masks are scanned **word at a time**: the chooser iterates `u64`
+//!   words, masks the tail past the declared port count, and pops set bits
+//!   with `trailing_zeros`, visiting free ports in ascending order — the
+//!   same tie sets, hence the same draws, as a per-port scan.
 //!
-//! Per-run mutable state lives in a reusable [`kernel::SlotScratch`] pool:
-//! the [`kernel::RunCore`], the [`kernel::MessageArena`], the injection
-//! buffer, and each kernel's private buckets/queues/bitsets.  Every `run`
-//! begins by resetting the pool — cleared lengths, kept allocations — so a
-//! reused pool is indistinguishable from a fresh one (the arena hands out
-//! the exact handle sequence a fresh one would) while touching the
-//! allocator only when a run out-peaks everything before it.
+//! Per-run mutable state lives in a reusable [`SlotScratch`] pool: the
+//! RNG and metrics core, the message records, the injection buffer, and
+//! each kernel's private buckets/queues/bitsets.  Every `run` begins by
+//! resetting the pool — cleared lengths, kept allocations — so a reused
+//! pool is indistinguishable from a fresh one (it hands out the exact
+//! handle sequence a fresh one would) while touching the allocator only
+//! when a run out-peaks everything before it.
 //! `otis_net::engine` hands each worker thread one pool for its whole
 //! lifetime and threads every grid cell through it, reporting the saved
 //! setups as `StreamSummary::scratch_reuses`.
@@ -170,8 +179,7 @@
 pub mod arbitration;
 pub mod demand;
 pub mod hot_potato;
-pub mod kernel;
-pub mod message;
+mod kernel;
 pub mod metrics;
 pub mod multi_ops;
 pub mod options;
@@ -185,8 +193,7 @@ pub use demand::{
     TraceStats,
 };
 pub use hot_potato::PreparedHotPotato;
-pub use kernel::{MessageArena, PortBits, RunCore, SlotScratch};
-pub use message::Message;
+pub use kernel::SlotScratch;
 pub use metrics::SimMetrics;
 pub use multi_ops::PreparedMultiOps;
 pub use options::SimOptions;

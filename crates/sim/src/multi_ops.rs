@@ -29,24 +29,28 @@
 //!   fault-free base with [`PreparedMultiOps::repair_from`], bit-identical
 //!   to building it from scratch;
 //! * [`PreparedMultiOps::run`] — the kernel's one run entry point — owns
-//!   only per-run mutable state (in a caller-owned
-//!   [`crate::kernel::SlotScratch`]) and drives the shared
-//!   struct-of-arrays slot engine of [`crate::kernel`]: messages
-//!   live in a [`crate::kernel::MessageArena`], the per-coupler queues hold
-//!   `u32` handles, and per-flight routing state (current route, hop
-//!   position, holder) sits in parallel arrays indexed by handle.  No
-//!   per-slot allocations: routes are precomputed slices, and the
-//!   arbitration candidate buffer is reused across couplers and slots.
+//!   only per-run mutable state (in a caller-owned [`crate::SlotScratch`])
+//!   and drives the slot engine shared with the hot-potato kernel: a
+//!   message in flight is the record `(dst, injected_at, hops)` behind a
+//!   `u32` handle, the per-coupler queues hold handles, and the flight's
+//!   position (route id, hop index, holder) sits in parallel arrays
+//!   indexed by the same handle.  That is all the loop reads, so nothing
+//!   else is kept: not the source, which the route and holder replace,
+//!   nor the wavelength a hop took, which only matters as the coupler's
+//!   occupancy for the rest of the slot.  No per-slot allocations: routes
+//!   are precomputed slices, and the arbitration candidate buffer is
+//!   reused across couplers and slots.
 //!
 //! One loop serves both transmission disciplines, *queued* and
 //! *bufferless transmit-or-block*; [`PreparedMultiOps::run`] describes
 //! both.
 
 use crate::demand::DemandSource;
-use crate::kernel::{assign_wavelength, SlotScratch};
+use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::options::SimOptions;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
+use crate::wavelength::WavelengthAssignment;
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
 use otis_routing::{hop_receiver, FaultSet, StackHop, StackRouter};
@@ -54,7 +58,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-flight routing state of the slot loop, parallel arrays indexed by
-/// [`MessageArena`] handle (the arena itself holds the message columns —
+/// [`MessageArena`] handle (the arena itself holds the message record —
 /// destination, injection slot, hops).  A flight's route is *not* carried
 /// along: it lives in the kernel's group-level route table, identified by
 /// its route id, one of the ids of the flight's group pair.  `next_hop` is
@@ -98,10 +102,12 @@ impl FlightState {
         self.holder[handle as usize] as usize
     }
 
-    /// Re-roots the flight onto another route of the kernel's table.
+    /// Re-roots the flight onto another route of the kernel's table, at
+    /// that route's first hop; the holder stays where it is.
     #[inline]
-    fn set_route(&mut self, handle: u32, route: usize) {
+    fn reroot(&mut self, handle: u32, route: usize) {
         self.route[handle as usize] = route as u32;
+        self.next_hop[handle as usize] = 0;
     }
 
     /// Advances the flight one hop: new position within its route and new
@@ -122,7 +128,7 @@ impl FlightState {
     }
 }
 
-/// The multi-OPS half of a [`crate::kernel::SlotScratch`]: flight-state
+/// The multi-OPS half of a [`SlotScratch`]: flight-state
 /// arrays, the per-coupler pending queues of this and the next slot, the
 /// round-robin arbitration memory and the candidate/overflow buffers.
 #[derive(Debug, Default)]
@@ -556,7 +562,7 @@ impl PreparedMultiOps {
     ///   introduces new failures.  An empty timeline never touches the swap
     ///   machinery.
     /// * `scratch` holds every piece of per-run mutable state — the message
-    ///   arena, the flight-state arrays, the coupler queues and the
+    ///   records, the flight-state arrays, the coupler queues and the
     ///   arbitration candidate buffer.  It is reset on entry (cleared
     ///   lengths, kept allocations), so a reused pool is indistinguishable
     ///   from a fresh one and consecutive runs reallocate nothing; no
@@ -591,9 +597,11 @@ impl PreparedMultiOps {
     /// in processor order — one pass over the demand decisions and the
     /// route table's first hops; the **arbitrate/advance/deliver** phase
     /// then walks the couplers in index order, each round one pass over the
-    /// pending queue's `holder`/`injected_at` columns, advancing winners a
-    /// hop and delivering or forwarding them; the bufferless **overflow**
-    /// sub-phase re-roots losers onto alternates or drops them blocked.
+    /// pending queue's `holder`/`injected_at` columns; the bufferless
+    /// **overflow** sub-phase re-roots losers onto alternates or drops them
+    /// blocked.  Arbitration winners and re-rooted losers go through the
+    /// same transmit step, which grants the coupler, advances the flight a
+    /// hop and delivers or forwards it.
     pub fn run(
         &self,
         timeline: &[(u64, PreparedMultiOps)],
@@ -615,14 +623,7 @@ impl PreparedMultiOps {
             ops,
             ..
         } = scratch;
-        let OpsScratch {
-            flights,
-            pending,
-            next_pending,
-            last_winner,
-            candidates,
-            overflow,
-        } = ops;
+        let assignment = options.wavelengths.assignment;
         let mut spectrum = if bufferless {
             let w = options.wavelengths.count.max(1);
             core.metrics.wavelengths = w;
@@ -644,24 +645,24 @@ impl PreparedMultiOps {
             while timeline.get(next_epoch).is_some_and(|(at, _)| *at <= slot) {
                 let kernel = &timeline[next_epoch].1;
                 next_epoch += 1;
-                let live: u64 = pending.iter().map(|q| q.len() as u64).sum();
+                let live: u64 = ops.pending.iter().map(|q| q.len() as u64).sum();
                 let introduces = !kernel.router.faults().is_subset_of(active.router.faults());
                 tracker.on_swap(introduces, slot, live, &mut core.metrics);
-                for queue in pending.iter_mut() {
-                    overflow.append(queue);
+                for queue in ops.pending.iter_mut() {
+                    ops.overflow.append(queue);
                 }
-                for handle in overflow.drain(..) {
-                    let holder = flights.holder(handle);
-                    let dst = arena.dst(handle);
-                    match kernel.routes.primary(holder, dst) {
+                for handle in ops.overflow.drain(..) {
+                    match kernel
+                        .routes
+                        .primary(ops.flights.holder(handle), arena.dst(handle))
+                    {
                         Some(route) => {
-                            flights.set_route(handle, route);
-                            flights.advance(handle, 0, holder);
-                            pending[kernel.routes.couplers(route)[0] as usize].push(handle);
+                            ops.flights.reroot(handle, route);
+                            ops.pending[kernel.routes.couplers(route)[0] as usize].push(handle);
                         }
                         None => {
                             core.metrics.dropped_by_failure += 1;
-                            core.drop_message();
+                            core.metrics.dropped += 1;
                             arena.release(handle);
                         }
                     }
@@ -682,7 +683,7 @@ impl PreparedMultiOps {
                 let first_coupler = active.routes.couplers(route)[0] as usize;
                 if !bufferless
                     && options.queue_limit > 0
-                    && pending[first_coupler].len() >= options.queue_limit
+                    && ops.pending[first_coupler].len() >= options.queue_limit
                 {
                     // Back-pressure: the injection is refused, not counted.
                     // (Bufferless mode has no queues, hence no back-pressure:
@@ -690,17 +691,17 @@ impl PreparedMultiOps {
                     // contention.)
                     continue;
                 }
-                let message = core.inject(src, dst, slot);
-                let handle = arena.insert(&message);
-                flights.init(handle, src, route);
-                pending[first_coupler].push(handle);
+                core.metrics.injected += 1;
+                let handle = arena.insert(dst, slot);
+                ops.flights.init(handle, src, route);
+                ops.pending[first_coupler].push(handle);
             }
 
             // 2. Per-coupler arbitration and transmission: one grant per
             // coupler in queued mode, up to `W` in bufferless mode.
             for coupler in 0..couplers {
                 loop {
-                    if pending[coupler].is_empty() {
+                    if ops.pending[coupler].is_empty() {
                         break;
                     }
                     if let Some(spectrum) = &spectrum {
@@ -708,51 +709,31 @@ impl PreparedMultiOps {
                             break;
                         }
                     }
-                    candidates.clear();
-                    candidates.extend(
-                        pending[coupler]
+                    ops.candidates.clear();
+                    ops.candidates.extend(
+                        ops.pending[coupler]
                             .iter()
-                            .map(|&h| (flights.holder(h), arena.injected_at(h))),
+                            .map(|&h| (ops.flights.holder(h), arena.injected_at(h))),
                     );
-                    let Some(winner_idx) =
-                        options
-                            .policy
-                            .pick(candidates, last_winner[coupler], &mut core.rng)
-                    else {
+                    let Some(winner_idx) = options.policy.pick(
+                        &ops.candidates,
+                        ops.last_winner[coupler],
+                        &mut core.rng,
+                    ) else {
                         break;
                     };
-                    let handle = pending[coupler].remove(winner_idx);
-                    last_winner[coupler] = Some(flights.holder(handle));
-                    if let Some(spectrum) = spectrum.as_mut() {
-                        let lambda = assign_wavelength(
-                            spectrum,
-                            coupler,
-                            options.wavelengths.assignment,
-                            &mut core.rng,
-                        );
-                        arena.set_wavelength(handle, lambda);
-                    }
-                    core.grant();
-
-                    let route = active.routes.couplers(flights.route(handle));
-                    let hop_idx = flights.next_hop(handle);
-                    debug_assert_eq!(route[hop_idx] as usize, coupler);
-                    let next_coupler = route.get(hop_idx + 1).map(|&c| c as usize);
-                    let dst = arena.dst(handle);
-                    let receiver = active.routes.receiver(coupler, dst, next_coupler.is_none());
-                    arena.add_hop(handle);
-                    flights.advance(handle, hop_idx + 1, receiver);
-                    match next_coupler {
-                        None => {
-                            // Delivered at the end of this slot.
-                            let latency = slot + 1 - arena.injected_at(handle);
-                            core.deliver(latency, arena.hops(handle));
-                            tracker.observe_delivery(latency, &mut core.metrics);
-                            arena.release(handle);
-                        }
-                        Some(next) if !bufferless || next > coupler => pending[next].push(handle),
-                        Some(next) => next_pending[next].push(handle),
-                    }
+                    let handle = ops.pending[coupler].remove(winner_idx);
+                    ops.transmit(
+                        handle,
+                        coupler,
+                        slot,
+                        &active.routes,
+                        arena,
+                        core,
+                        &mut tracker,
+                        &mut spectrum,
+                        assignment,
+                    );
                     if !bufferless {
                         break;
                     }
@@ -763,63 +744,48 @@ impl PreparedMultiOps {
                 // must re-route or block — bufferless networks cannot hold
                 // them.  (Queued mode leaves losers in their queue for the
                 // next slot.)
-                if !bufferless || pending[coupler].is_empty() {
+                if !bufferless || ops.pending[coupler].is_empty() {
                     continue;
                 }
-                overflow.append(&mut pending[coupler]);
-                for handle in overflow.drain(..) {
-                    let spectrum = spectrum.as_mut().expect("bufferless mode has a spectrum");
-                    let dst = arena.dst(handle);
-                    let holder = flights.holder(handle);
-                    let mut taken = false;
-                    for route in active.routes.alternates(holder, dst) {
-                        let alt = active.routes.couplers(route);
-                        let first = alt[0] as usize;
-                        if spectrum.is_full(first) {
-                            continue;
+                let mut stranded = std::mem::take(&mut ops.overflow);
+                stranded.append(&mut ops.pending[coupler]);
+                for handle in stranded.drain(..) {
+                    let free = spectrum.as_ref().expect("bufferless mode has a spectrum");
+                    let holder = ops.flights.holder(handle);
+                    let alternate = active
+                        .routes
+                        .alternates(holder, arena.dst(handle))
+                        .find(|&route| !free.is_full(active.routes.couplers(route)[0] as usize));
+                    match alternate {
+                        Some(route) => {
+                            // Re-root the flight onto the alternate and
+                            // transmit its first hop immediately.
+                            core.metrics.alt_routed += 1;
+                            ops.flights.reroot(handle, route);
+                            ops.transmit(
+                                handle,
+                                coupler,
+                                slot,
+                                &active.routes,
+                                arena,
+                                core,
+                                &mut tracker,
+                                &mut spectrum,
+                                assignment,
+                            );
                         }
-                        // Re-root the flight onto the alternate and transmit
-                        // its first hop immediately.
-                        core.metrics.alt_routed += 1;
-                        flights.set_route(handle, route);
-                        let lambda = assign_wavelength(
-                            spectrum,
-                            first,
-                            options.wavelengths.assignment,
-                            &mut core.rng,
-                        );
-                        arena.set_wavelength(handle, lambda);
-                        core.grant();
-                        last_winner[first] = Some(holder);
-                        arena.add_hop(handle);
-                        let receiver = active.routes.receiver(first, dst, alt.len() == 1);
-                        flights.advance(handle, 1, receiver);
-                        if alt.len() == 1 {
-                            let latency = slot + 1 - arena.injected_at(handle);
-                            core.deliver(latency, arena.hops(handle));
-                            tracker.observe_delivery(latency, &mut core.metrics);
+                        None => {
+                            core.metrics.blocked += 1;
+                            core.metrics.dropped += 1;
                             arena.release(handle);
-                        } else {
-                            let next = alt[1] as usize;
-                            if next > coupler {
-                                pending[next].push(handle);
-                            } else {
-                                next_pending[next].push(handle);
-                            }
                         }
-                        taken = true;
-                        break;
-                    }
-                    if !taken {
-                        core.metrics.blocked += 1;
-                        core.drop_message();
-                        arena.release(handle);
                     }
                 }
+                ops.overflow = stranded;
             }
             if bufferless {
-                debug_assert!(pending.iter().all(|p| p.is_empty()));
-                std::mem::swap(pending, next_pending);
+                debug_assert!(ops.pending.iter().all(|p| p.is_empty()));
+                std::mem::swap(&mut ops.pending, &mut ops.next_pending);
             }
             tracker.end_slot(slot, &mut core.metrics);
         }
@@ -827,9 +793,60 @@ impl PreparedMultiOps {
         // Messages granted in the final slot but still short of their
         // destination — and, in queued mode, everything still queued — are
         // in flight.
-        let in_flight = pending.iter().map(|q| q.len() as u64).sum::<u64>()
-            + next_pending.iter().map(|q| q.len() as u64).sum::<u64>();
+        let in_flight = ops.pending.iter().map(|q| q.len() as u64).sum::<u64>()
+            + ops.next_pending.iter().map(|q| q.len() as u64).sum::<u64>();
         core.finish(in_flight)
+    }
+}
+
+impl OpsScratch {
+    /// Transmits the flight at `handle` over the coupler at its route
+    /// position — the one place a multi-OPS hop is granted, for an
+    /// arbitration winner and an alternate-route grant alike.  The grant
+    /// sets the coupler's round-robin memory to the holder, takes a
+    /// wavelength in bufferless mode and counts as used capacity; the
+    /// message then takes the hop to its receiver.  On the last hop it is
+    /// delivered at the end of `slot`.  Otherwise it waits for its next
+    /// coupler: within this slot's pass if that coupler comes after `at`,
+    /// the coupler the arbitration loop is on, or in queued mode, where a
+    /// lower-index coupler is simply reached in the next slot; else in the
+    /// next slot's bufferless pass.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn transmit(
+        &mut self,
+        handle: u32,
+        at: usize,
+        slot: u64,
+        routes: &GroupRoutes,
+        arena: &mut MessageArena,
+        core: &mut RunCore,
+        tracker: &mut RestoreTracker,
+        spectrum: &mut Option<SpectrumMap>,
+        assignment: WavelengthAssignment,
+    ) {
+        let route = routes.couplers(self.flights.route(handle));
+        let hop = self.flights.next_hop(handle);
+        let coupler = route[hop] as usize;
+        self.last_winner[coupler] = Some(self.flights.holder(handle));
+        if let Some(spectrum) = spectrum.as_mut() {
+            assign_wavelength(spectrum, coupler, assignment, &mut core.rng);
+        }
+        core.metrics.grants += 1;
+        arena.add_hop(handle);
+        let next = route.get(hop + 1).map(|&c| c as usize);
+        let receiver = routes.receiver(coupler, arena.dst(handle), next.is_none());
+        self.flights.advance(handle, hop + 1, receiver);
+        match next {
+            None => {
+                let latency = slot + 1 - arena.injected_at(handle);
+                core.metrics.record_delivery(latency, arena.hops(handle));
+                tracker.observe_delivery(latency, &mut core.metrics);
+                arena.release(handle);
+            }
+            Some(next) if spectrum.is_none() || next > at => self.pending[next].push(handle),
+            Some(next) => self.next_pending[next].push(handle),
+        }
     }
 }
 

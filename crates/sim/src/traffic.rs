@@ -97,7 +97,7 @@ impl TrafficPattern {
     }
 
     /// The injection decision of one processor in one slot.
-    pub fn inject_for<R: Rng>(&self, src: usize, n: usize, rng: &mut R) -> Option<usize> {
+    fn inject_for<R: Rng>(&self, src: usize, n: usize, rng: &mut R) -> Option<usize> {
         if n < 2 {
             return None;
         }
